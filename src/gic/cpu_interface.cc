@@ -3,44 +3,47 @@
 namespace rex::gic {
 
 CpuInterface::CpuInterface(Gic &gic, std::uint32_t pe, bool eoi_mode1)
-    : _gic(gic), _pe(pe), _eoiMode1(eoi_mode1)
+    : CpuInterface(gic.redistributor(pe), eoi_mode1)
+{
+}
+
+CpuInterface::CpuInterface(Redistributor &redist, bool eoi_mode1)
+    : _redist(redist), _eoiMode1(eoi_mode1)
 {
 }
 
 bool
 CpuInterface::irqPending() const
 {
-    return _gic.redistributor(_pe).irqPending();
+    return _redist.irqPending();
 }
 
 std::uint32_t
 CpuInterface::readIar()
 {
-    return _gic.redistributor(_pe).acknowledge();
+    return _redist.acknowledge();
 }
 
 void
 CpuInterface::writeEoir(std::uint64_t value)
 {
     std::uint32_t intid = static_cast<std::uint32_t>(value & 0xFFFFFF);
-    Redistributor &redist = _gic.redistributor(_pe);
-    redist.priorityDrop(intid);
+    _redist.priorityDrop(intid);
     if (!_eoiMode1)
-        redist.deactivate(intid);
+        _redist.deactivate(intid);
 }
 
 void
 CpuInterface::writeDir(std::uint64_t value)
 {
     std::uint32_t intid = static_cast<std::uint32_t>(value & 0xFFFFFF);
-    _gic.redistributor(_pe).deactivate(intid);
+    _redist.deactivate(intid);
 }
 
 void
 CpuInterface::writePmr(std::uint64_t value)
 {
-    _gic.redistributor(_pe).setPriorityMask(
-        static_cast<std::uint8_t>(value & 0xFF));
+    _redist.setPriorityMask(static_cast<std::uint8_t>(value & 0xFF));
 }
 
 } // namespace rex::gic

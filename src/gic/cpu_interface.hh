@@ -29,6 +29,10 @@ class CpuInterface
      */
     CpuInterface(Gic &gic, std::uint32_t pe, bool eoi_mode1);
 
+    /** A window onto a redistributor held outside a Gic (the
+     *  operational machine keeps them in its flat state). */
+    CpuInterface(Redistributor &redist, bool eoi_mode1);
+
     /** Is EOImode=1 configured? */
     bool eoiMode1() const { return _eoiMode1; }
 
@@ -50,8 +54,7 @@ class CpuInterface
     void writePmr(std::uint64_t value);
 
   private:
-    Gic &_gic;
-    std::uint32_t _pe;
+    Redistributor &_redist;
     bool _eoiMode1;
 };
 

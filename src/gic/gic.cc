@@ -19,14 +19,14 @@ intStateName(IntState state)
 IntState
 Redistributor::state(std::uint32_t intid) const
 {
-    auto it = _states.find(intid);
-    return it == _states.end() ? IntState::Inactive : it->second;
+    return intid < kNumSgis ? _states[intid] : IntState::Inactive;
 }
 
 void
 Redistributor::pend(std::uint32_t intid)
 {
-    switch (state(intid)) {
+    rexAssert(intid < kNumSgis, "GIC: only SGIs (INTID 0-15) are modelled");
+    switch (_states[intid]) {
       case IntState::Inactive:
         _states[intid] = IntState::Pending;
         break;
@@ -65,9 +65,7 @@ Redistributor::setPending(std::uint32_t intid)
 bool
 Redistributor::deliverable(std::uint32_t intid) const
 {
-    auto it = _priorities.find(intid);
-    std::uint8_t prio = it == _priorities.end() ? kDefaultPriority
-                                                : it->second;
+    std::uint8_t prio = _priorities[intid];
     return prio < _priorityMask && prio < _runningPriority;
 }
 
@@ -76,19 +74,15 @@ Redistributor::highestPendingDeliverable() const
 {
     std::uint32_t best = kSpuriousIntid;
     std::uint8_t best_prio = kIdlePriority;
-    for (const auto &[intid, state] : _states) {
-        if (state != IntState::Pending && state != IntState::ActivePending)
-            continue;
+    for (std::uint32_t intid = 0; intid < kNumSgis; ++intid) {
         // An Active&Pending interrupt's buffered instance is masked by
         // its own active priority until deactivation, so it is not
         // re-deliverable here.
-        if (state == IntState::ActivePending)
+        if (_states[intid] != IntState::Pending)
             continue;
         if (!deliverable(intid))
             continue;
-        auto it = _priorities.find(intid);
-        std::uint8_t prio = it == _priorities.end() ? kDefaultPriority
-                                                    : it->second;
+        std::uint8_t prio = _priorities[intid];
         if (prio < best_prio || best == kSpuriousIntid) {
             best = intid;
             best_prio = prio;
@@ -109,12 +103,11 @@ Redistributor::acknowledge()
     std::uint32_t intid = highestPendingDeliverable();
     if (intid == kSpuriousIntid)
         return kSpuriousIntid;
+    rexAssert(_stackDepth < kMaxNesting,
+              "GIC: acknowledges nested deeper than the priority stack");
     _states[intid] = IntState::Active;
-    auto it = _priorities.find(intid);
-    std::uint8_t prio = it == _priorities.end() ? kDefaultPriority
-                                                : it->second;
-    _priorityStack.push_back(_runningPriority);
-    _runningPriority = prio;
+    _priorityStack[_stackDepth++] = _runningPriority;
+    _runningPriority = _priorities[intid];
     return intid;
 }
 
@@ -122,12 +115,13 @@ void
 Redistributor::priorityDrop(std::uint32_t intid)
 {
     (void)intid;  // GICv3 drops in acknowledge order, not by INTID.
-    if (_priorityStack.empty()) {
+    if (_stackDepth == 0) {
         warn("GIC: priority drop with no active acknowledge");
         return;
     }
-    _runningPriority = _priorityStack.back();
-    _priorityStack.pop_back();
+    --_stackDepth;
+    _runningPriority = _priorityStack[_stackDepth];
+    _priorityStack[_stackDepth] = 0;
 }
 
 void
@@ -150,6 +144,7 @@ Redistributor::deactivate(std::uint32_t intid)
 void
 Redistributor::setPriority(std::uint32_t intid, std::uint8_t priority)
 {
+    rexAssert(intid < kNumSgis, "GIC: only SGIs (INTID 0-15) are modelled");
     _priorities[intid] = priority;
 }
 
@@ -181,10 +176,17 @@ Gic::redistributor(std::size_t pe) const
 void
 Gic::sendSgi(const sem::SgiRequest &request, std::uint32_t sender)
 {
-    std::uint64_t mask = request.targetMask(_redists.size(), sender);
-    for (std::size_t pe = 0; pe < _redists.size(); ++pe) {
+    sendSgi(request, sender, _redists.data(), _redists.size());
+}
+
+void
+Gic::sendSgi(const sem::SgiRequest &request, std::uint32_t sender,
+             Redistributor *redists, std::size_t num_pes)
+{
+    std::uint64_t mask = request.targetMask(num_pes, sender);
+    for (std::size_t pe = 0; pe < num_pes; ++pe) {
         if ((mask >> pe) & 1)
-            _redists[pe].pend(request.intid);
+            redists[pe].pend(request.intid);
     }
 }
 

@@ -13,8 +13,10 @@
 #ifndef REX_GIC_GIC_HH
 #define REX_GIC_GIC_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <type_traits>
 #include <vector>
 
 #include "sem/exception.hh"
@@ -41,12 +43,27 @@ inline constexpr std::uint8_t kIdlePriority = 0xFF;
 /** Default priority assigned to every INTID until configured. */
 inline constexpr std::uint8_t kDefaultPriority = 0xA0;
 
+/** The modelled INTIDs: the sixteen SGIs, 0-15. */
+inline constexpr std::uint32_t kNumSgis = 16;
+
+/** Depth bound of the priority stack: each nested acknowledge needs a
+ *  numerically lower priority than the running one, so with fixed
+ *  priorities acknowledges nest at most once per INTID. */
+inline constexpr std::size_t kMaxNesting = kNumSgis;
+
 /**
  * The per-PE redistributor (plus CPU-interface state): INTID states,
  * priorities, the priority mask, the running priority, and the pending
  * bit it exposes to the PE's interrupt status register.
  *
  * Lower numeric priority = more urgent (GIC convention).
+ *
+ * The state is a fixed-size, trivially-copyable value with no padding,
+ * so the operational machine embeds redistributors in its flat state and
+ * compares them bytewise. Only the SGIs (INTID 0-15) are modelled: any
+ * other INTID reads as Inactive, so deactivating one (an EOIR write-back
+ * of the spurious INTID 1023, say) warns like any non-active
+ * deactivation; pending or configuring one is an error.
  */
 class Redistributor
 {
@@ -104,14 +121,29 @@ class Redistributor
   private:
     bool deliverable(std::uint32_t intid) const;
 
-    std::map<std::uint32_t, IntState> _states;
-    std::map<std::uint32_t, std::uint8_t> _priorities;
+    std::array<IntState, kNumSgis> _states{};
+    std::array<std::uint8_t, kNumSgis> _priorities = defaultPriorities();
     std::uint8_t _priorityMask = kIdlePriority;
     std::uint8_t _runningPriority = kIdlePriority;
 
-    /** Stack of pre-acknowledge running priorities, popped on drop. */
-    std::vector<std::uint8_t> _priorityStack;
+    /** Stack of pre-acknowledge running priorities, popped on drop;
+     *  entries at and above the depth are zero. */
+    std::uint8_t _stackDepth = 0;
+    std::array<std::uint8_t, kMaxNesting> _priorityStack{};
+
+    static constexpr std::array<std::uint8_t, kNumSgis>
+    defaultPriorities()
+    {
+        std::array<std::uint8_t, kNumSgis> out{};
+        for (std::uint8_t &p : out)
+            p = kDefaultPriority;
+        return out;
+    }
 };
+
+static_assert(std::is_trivially_copyable_v<Redistributor> &&
+                  std::has_unique_object_representations_v<Redistributor>,
+              "a redistributor's bytes are its state");
 
 /**
  * The distributor plus all redistributors: routes SGIs to target PEs.
@@ -131,6 +163,12 @@ class Gic
      * target PEs, pending it at each target's redistributor.
      */
     void sendSgi(const sem::SgiRequest &request, std::uint32_t sender);
+
+    /** Route an SGI over @p num_pes redistributors held elsewhere (the
+     *  operational machine keeps them in its flat state). */
+    static void sendSgi(const sem::SgiRequest &request,
+                        std::uint32_t sender, Redistributor *redists,
+                        std::size_t num_pes);
 
   private:
     std::vector<Redistributor> _redists;

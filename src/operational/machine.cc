@@ -1,6 +1,10 @@
 #include "operational/machine.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 #include "base/logging.hh"
 #include "base/strings.hh"
@@ -55,6 +59,70 @@ isDsb(BarrierKind kind)
         kind == BarrierKind::DsbSy;
 }
 
+bool
+isBarrier(Opcode op)
+{
+    return op == Opcode::Dmb || op == Opcode::Dsb || op == Opcode::Isb;
+}
+
+/** MSRs to these act on the GIC; every other MSR writes the sysreg. */
+bool
+isGicWrite(Sysreg reg)
+{
+    return reg == Sysreg::ICC_SGI1R_EL1 || reg == Sysreg::ICC_EOIR1_EL1 ||
+        reg == Sysreg::ICC_DIR_EL1 || reg == Sysreg::ICC_PMR_EL1;
+}
+
+bool
+touchesGic(const Instruction &inst)
+{
+    return (inst.op == Opcode::Msr && isGicWrite(inst.sysreg)) ||
+        (inst.op == Opcode::Mrs && inst.sysreg == Sysreg::ICC_IAR1_EL1);
+}
+
+std::size_t
+roundUp8(std::size_t bytes)
+{
+    return (bytes + 7) & ~std::size_t{7};
+}
+
+/** Ops the thread issues on a run with no fault and no backward jump:
+ *  the program's accesses and barriers, plus the handler's once per
+ *  possible entry (each SVC, and one interrupt). */
+std::uint32_t
+initialOpCapacity(const LitmusThread &spec)
+{
+    std::uint32_t program_ops = 0;
+    std::uint32_t entries = 1;
+    for (const Instruction &inst : spec.program.code) {
+        if (inst.isMemoryAccess() || isBarrier(inst.op))
+            ++program_ops;
+        if (inst.op == Opcode::Svc)
+            ++entries;
+    }
+    std::uint32_t handler_ops = 0;
+    for (const Instruction &inst : spec.handler.code) {
+        if (inst.isMemoryAccess() || isBarrier(inst.op))
+            ++handler_ops;
+    }
+    return program_ops + entries * handler_ops;
+}
+
+std::vector<std::uint32_t>
+branchTargets(const isa::Program &prog)
+{
+    std::vector<std::uint32_t> targets(prog.code.size(), 0);
+    for (std::size_t i = 0; i < prog.code.size(); ++i) {
+        const Instruction &inst = prog.code[i];
+        if (inst.op == Opcode::B || inst.op == Opcode::BCond ||
+                inst.op == Opcode::Cbz || inst.op == Opcode::Cbnz) {
+            targets[i] =
+                static_cast<std::uint32_t>(prog.labelIndex(inst.label));
+        }
+    }
+    return targets;
+}
+
 } // namespace
 
 std::string
@@ -91,10 +159,7 @@ Outcome::satisfiesCondition(const LitmusTest &test) const
 gic::CpuInterface
 Machine::cpuInterface(int tid) const
 {
-    // Safe: the interface only mutates the GIC, never itself; the const
-    // cast localises the machine's logically-mutable GIC access.
-    auto *self = const_cast<Machine *>(this);
-    return gic::CpuInterface(self->_gic, static_cast<std::uint32_t>(tid),
+    return gic::CpuInterface(redistributors()[tid],
                              _test.threads[static_cast<std::size_t>(
                                  tid)].eoiMode1);
 }
@@ -114,67 +179,292 @@ Machine::Transition::toString() const
 }
 
 Machine::Machine(const LitmusTest &test, const CoreProfile &profile)
-    : _test(test), _profile(profile), _gic(test.threads.size())
+    : _test(test), _profile(profile)
 {
+    static_assert(std::is_trivially_copyable_v<InFlightOp> &&
+                      std::has_unique_object_representations_v<InFlightOp> &&
+                      sizeof(InFlightOp) == 16,
+                  "an op's bytes are its state");
+    static_assert(std::is_trivially_copyable_v<ThreadHeader> &&
+                      std::has_unique_object_representations_v<ThreadHeader> &&
+                      sizeof(ThreadHeader) % 8 == 0,
+                  "a thread header's bytes are its state");
+    if (test.locations.size() > 0xFFFF)
+        fatal("operational: too many locations in " + test.name);
+    std::vector<std::uint32_t> capacity;
+    for (const LitmusThread &spec : test.threads)
+        capacity.push_back(initialOpCapacity(spec));
+    _layout = buildLayout(capacity);
     reset();
+}
+
+Machine::Layout
+Machine::buildLayout(const std::vector<std::uint32_t> &op_capacity) const
+{
+    Layout layout;
+    std::size_t offset = 0;
+    bool uses_gic = false;
+    for (std::size_t t = 0; t < _test.threads.size(); ++t) {
+        const LitmusThread &spec = _test.threads[t];
+        std::array<bool, isa::kNumRegs> reg_live{};
+        std::array<bool, isa::kNumSysregs> sysreg_live{};
+        for (std::size_t r = 0; r < isa::kNumRegs; ++r)
+            reg_live[r] = spec.initRegs[r] != 0;
+        for (const isa::Program *prog : {&spec.program, &spec.handler}) {
+            for (const Instruction &inst : prog->code) {
+                for (isa::RegId r : {inst.rd, inst.rn, inst.rm, inst.rs})
+                    reg_live[r] = true;
+                if (inst.op == Opcode::Msr && !isGicWrite(inst.sysreg))
+                    sysreg_live[sysregIndex(inst.sysreg)] = true;
+                uses_gic = uses_gic || touchesGic(inst);
+            }
+        }
+        if (!spec.handler.code.empty()) {
+            for (Sysreg reg : {Sysreg::ESR_EL1, Sysreg::ELR_EL1,
+                               Sysreg::SPSR_EL1, Sysreg::FAR_EL1})
+                sysreg_live[sysregIndex(reg)] = true;
+        }
+        for (const CondAtom &atom : _test.finalCond.atoms) {
+            if (atom.kind == CondAtom::Kind::Register &&
+                    static_cast<std::size_t>(atom.tid) == t)
+                reg_live[atom.reg] = true;
+        }
+
+        ThreadLayout tl;
+        for (std::size_t r = 0; r < isa::kNumRegs; ++r) {
+            tl.regSlot[r] = reg_live[r]
+                ? static_cast<std::int8_t>(tl.numRegs++) : -1;
+        }
+        for (std::size_t r = 0; r < isa::kNumSysregs; ++r) {
+            tl.sysregSlot[r] = sysreg_live[r]
+                ? static_cast<std::int8_t>(tl.numSysregs++) : -1;
+        }
+        tl.opCapacity = op_capacity[t];
+        tl.header = offset;
+        offset += sizeof(ThreadHeader);
+        tl.regs = offset;
+        offset += sizeof(std::uint64_t) * tl.numRegs;
+        tl.sysregs = offset;
+        offset += sizeof(std::uint64_t) * tl.numSysregs;
+        tl.regSource = offset;
+        offset += roundUp8(sizeof(std::int16_t) * tl.numRegs);
+        tl.ops = offset;
+        offset += sizeof(InFlightOp) * tl.opCapacity;
+        if (spec.interruptAt)
+            tl.interruptAt = spec.program.labelIndex(*spec.interruptAt);
+        tl.programTargets = branchTargets(spec.program);
+        tl.handlerTargets = branchTargets(spec.handler);
+        layout.threads.push_back(std::move(tl));
+
+        // Issue, one satisfy or commit per in-flight op, and the two
+        // interrupt transitions.
+        layout.maxEnabled += 3 +
+            std::min<std::size_t>(_profile.windowSize, op_capacity[t]);
+    }
+    std::size_t num_locations = _test.locations.size();
+    layout.memory = offset;
+    offset += sizeof(std::uint64_t) * num_locations;
+    layout.versions = offset;
+    offset += roundUp8(sizeof(std::uint32_t) * num_locations);
+    if (uses_gic) {
+        layout.gic = offset;
+        offset += roundUp8(sizeof(gic::Redistributor) *
+                           _test.threads.size());
+    }
+    layout.bytes = offset;
+    return layout;
+}
+
+std::vector<std::byte>
+Machine::emptyState(const Layout &layout, std::size_t num_locations)
+{
+    std::vector<std::byte> state(layout.bytes, std::byte{0});
+    std::byte *base = state.data();
+    for (const ThreadLayout &tl : layout.threads) {
+        new (base + tl.header) ThreadHeader{};
+        std::uninitialized_value_construct_n(
+            reinterpret_cast<std::uint64_t *>(base + tl.regs), tl.numRegs);
+        std::uninitialized_value_construct_n(
+            reinterpret_cast<std::uint64_t *>(base + tl.sysregs),
+            tl.numSysregs);
+        std::uninitialized_value_construct_n(
+            reinterpret_cast<std::int16_t *>(base + tl.regSource),
+            tl.numRegs);
+        std::uninitialized_value_construct_n(
+            reinterpret_cast<InFlightOp *>(base + tl.ops), tl.opCapacity);
+    }
+    std::uninitialized_value_construct_n(
+        reinterpret_cast<std::uint64_t *>(base + layout.memory),
+        num_locations);
+    std::uninitialized_value_construct_n(
+        reinterpret_cast<std::uint32_t *>(base + layout.versions),
+        num_locations);
+    if (layout.gic != kAbsent) {
+        std::uninitialized_default_construct_n(
+            reinterpret_cast<gic::Redistributor *>(base + layout.gic),
+            layout.threads.size());
+    }
+    return state;
 }
 
 void
 Machine::reset()
 {
-    _threads.assign(_test.threads.size(), ThreadState{});
-    _memory = _test.initValues;
-    _memVersion.assign(_test.locations.size(), 0);
-    _gic = gic::Gic(_test.threads.size());
+    _state = emptyState(_layout, _test.locations.size());
+    std::uint64_t *memory = this->memory();
+    for (std::size_t loc = 0; loc < _test.locations.size(); ++loc)
+        memory[loc] = _test.initValues[loc];
     for (std::size_t t = 0; t < _test.threads.size(); ++t) {
-        ThreadState &thread = _threads[t];
-        thread.regs = _test.threads[t].initRegs;
-        thread.regSource.fill(-1);
-        thread.masked = _test.threads[t].initialMasked;
+        const LitmusThread &spec = _test.threads[t];
+        Thread thread = this->thread(static_cast<int>(t));
+        for (std::size_t r = 0; r < isa::kNumRegs; ++r) {
+            std::int8_t slot = thread.layout.regSlot[r];
+            if (slot >= 0) {
+                thread.regs[slot] = spec.initRegs[r];
+                thread.regSource[slot] = -1;
+            }
+        }
+        thread.h.masked = spec.initialMasked;
     }
 }
 
-bool
-Machine::regReady(const ThreadState &thread, isa::RegId reg) const
+void
+Machine::setState(const std::byte *bytes)
 {
-    return thread.regSource[reg] < 0;
+    std::memcpy(_state.data(), bytes, _state.size());
+}
+
+std::string_view
+Machine::stateKey() const
+{
+    return {reinterpret_cast<const char *>(_state.data()), _state.size()};
+}
+
+Machine::Thread
+Machine::thread(int tid) const
+{
+    const ThreadLayout &layout =
+        _layout.threads[static_cast<std::size_t>(tid)];
+    std::byte *base = const_cast<std::byte *>(_state.data());
+    return {*std::launder(reinterpret_cast<ThreadHeader *>(
+                base + layout.header)),
+            std::launder(reinterpret_cast<std::uint64_t *>(
+                base + layout.regs)),
+            std::launder(reinterpret_cast<std::uint64_t *>(
+                base + layout.sysregs)),
+            std::launder(reinterpret_cast<std::int16_t *>(
+                base + layout.regSource)),
+            std::launder(reinterpret_cast<InFlightOp *>(base + layout.ops)),
+            layout};
+}
+
+std::uint64_t *
+Machine::memory() const
+{
+    return std::launder(reinterpret_cast<std::uint64_t *>(
+        const_cast<std::byte *>(_state.data()) + _layout.memory));
+}
+
+std::uint32_t *
+Machine::versions() const
+{
+    return std::launder(reinterpret_cast<std::uint32_t *>(
+        const_cast<std::byte *>(_state.data()) + _layout.versions));
+}
+
+gic::Redistributor *
+Machine::redistributors() const
+{
+    return std::launder(reinterpret_cast<gic::Redistributor *>(
+        const_cast<std::byte *>(_state.data()) + _layout.gic));
+}
+
+std::uint64_t &
+Machine::Thread::sysreg(isa::Sysreg s) const
+{
+    return sysregs[layout.sysregSlot[sysregIndex(s)]];
+}
+
+std::uint64_t
+Machine::Thread::address(const Instruction &inst) const
+{
+    std::uint64_t address = reg(inst.rn);
+    if (inst.mode == isa::AddrMode::BaseReg)
+        address += reg(inst.rm);
+    else if (inst.mode == isa::AddrMode::BaseImm ||
+             inst.mode == isa::AddrMode::PreIndex)
+        address += static_cast<std::uint64_t>(inst.imm);
+    return address;
 }
 
 std::size_t
-Machine::inFlightCount(const ThreadState &thread) const
+Machine::Thread::inFlightCount() const
 {
     std::size_t n = 0;
-    for (const InFlightOp &op : thread.ops) {
-        if (!op.done)
+    for (std::uint32_t i = 0; i < h.numOps; ++i) {
+        if (!ops[i].done)
             ++n;
     }
     return n;
 }
 
-bool
-Machine::atInterruptPoint(int tid) const
+void
+Machine::grow(int tid)
 {
-    const ThreadState &thread = _threads[tid];
-    return !thread.inHandler;
+    std::vector<std::uint32_t> capacity;
+    for (const ThreadLayout &tl : _layout.threads)
+        capacity.push_back(tl.opCapacity);
+    std::uint32_t &cap = capacity[static_cast<std::size_t>(tid)];
+    cap = std::max<std::uint32_t>(4, 2 * cap);
+    if (cap > 0x7FFF)  // op indices are kept as int16 register sources
+        fatal("operational: a thread issued too many accesses in " +
+              _test.name);
+    Layout next = buildLayout(capacity);
+
+    // Each thread block keeps its shape up to its ops, and the
+    // globals keep theirs: copy the used bytes across.
+    std::vector<std::byte> state = emptyState(next, _test.locations.size());
+    for (std::size_t t = 0; t < next.threads.size(); ++t) {
+        const ThreadLayout &old_tl = _layout.threads[t];
+        std::uint32_t num_ops = thread(static_cast<int>(t)).h.numOps;
+        std::memcpy(state.data() + next.threads[t].header,
+                    _state.data() + old_tl.header,
+                    old_tl.ops - old_tl.header +
+                        num_ops * sizeof(InFlightOp));
+    }
+    std::memcpy(state.data() + next.memory, _state.data() + _layout.memory,
+                _state.size() - _layout.memory);
+    _layout = std::move(next);
+    _state = std::move(state);
+}
+
+int
+Machine::pushOp(int tid, const InFlightOp &op)
+{
+    if (thread(tid).h.numOps == thread(tid).layout.opCapacity)
+        grow(tid);
+    Thread thread = this->thread(tid);
+    int index = static_cast<int>(thread.h.numOps++);
+    thread.ops[index] = op;
+    return index;
 }
 
 bool
 Machine::interruptDeliverable(int tid) const
 {
-    const ThreadState &thread = _threads[tid];
-    const LitmusThread &spec = _test.threads[tid];
-    if (thread.inHandler || thread.interruptsTaken > 0 ||
-            thread.forgoInterrupt) {
+    Thread thread = this->thread(tid);
+    const LitmusThread &spec = _test.threads[static_cast<std::size_t>(tid)];
+    if (thread.h.inHandler || thread.h.interruptsTaken > 0 ||
+            thread.h.forgoInterrupt) {
         return false;
     }
     if (spec.interruptAt) {
         // Mandatory externally-pended interrupt, exactly at the label.
-        return !thread.finished &&
-            thread.pc == spec.program.labelIndex(*spec.interruptAt);
+        return !thread.h.finished && thread.h.pc == thread.layout.interruptAt;
     }
-    if (thread.masked)
+    if (thread.h.masked)
         return false;
-    if (spec.handler.code.empty())
+    if (spec.handler.code.empty() || _layout.gic == kAbsent)
         return false;
     return cpuInterface(tid).irqPending();
 }
@@ -182,36 +472,38 @@ Machine::interruptDeliverable(int tid) const
 bool
 Machine::canIssue(int tid) const
 {
-    const ThreadState &thread = _threads[tid];
-    const LitmusThread &spec = _test.threads[tid];
-    if (thread.finished)
+    Thread thread = this->thread(tid);
+    const LitmusThread &spec = _test.threads[static_cast<std::size_t>(tid)];
+    if (thread.h.finished)
         return false;
-    if (inFlightCount(thread) >= _profile.windowSize)
+
+    // A full window, or an incomplete DSB, blocks all later issue.
+    std::size_t in_flight = 0;
+    for (std::uint32_t i = 0; i < thread.h.numOps; ++i) {
+        const InFlightOp &op = thread.ops[i];
+        if (op.done)
+            continue;
+        if (op.kind == InFlightOp::Kind::Barrier && isDsb(op.barrier))
+            return false;
+        ++in_flight;
+    }
+    if (in_flight >= _profile.windowSize)
         return false;
 
     // A mandatory pended interrupt blocks issue at its program point.
-    if (spec.interruptAt && !thread.inHandler &&
-            thread.interruptsTaken == 0 &&
-            thread.pc == spec.program.labelIndex(*spec.interruptAt)) {
+    if (!thread.h.inHandler && thread.h.interruptsTaken == 0 &&
+            thread.h.pc == thread.layout.interruptAt) {
         return false;
     }
 
-    // An incomplete DSB blocks all later issue.
-    for (const InFlightOp &op : thread.ops) {
-        if (!op.done && op.kind == InFlightOp::Kind::Barrier &&
-                isDsb(op.barrier)) {
-            return false;
-        }
-    }
-
-    const isa::Program &prog = thread.inHandler ? spec.handler
-                                                : spec.program;
-    std::size_t idx = thread.inHandler ? thread.handlerPc : thread.pc;
+    const isa::Program &prog = thread.h.inHandler ? spec.handler
+                                                  : spec.program;
+    std::size_t idx = thread.h.inHandler ? thread.h.handlerPc : thread.h.pc;
     if (idx >= prog.code.size())
         return true;  // issuing "end" finishes the thread
     const Instruction &inst = prog.code[idx];
 
-    auto ready = [&](isa::RegId reg) { return regReady(thread, reg); };
+    auto ready = [&](isa::RegId reg) { return thread.ready(reg); };
 
     switch (inst.op) {
       case Opcode::Nop:
@@ -245,37 +537,18 @@ Machine::canIssue(int tid) const
       case Opcode::Ldr:
       case Opcode::Ldar:
       case Opcode::Ldapr:
-      case Opcode::Ldxr: {
-        bool addr_ready = ready(inst.rn) &&
-            (inst.mode != isa::AddrMode::BaseReg || ready(inst.rm));
-        if (!addr_ready)
-            return false;
-        // A faulting access drains the window first (FEAT_ETS2).
-        std::uint64_t address = thread.regs[inst.rn];
-        if (inst.mode == isa::AddrMode::BaseReg)
-            address += thread.regs[inst.rm];
-        else if (inst.mode == isa::AddrMode::BaseImm ||
-                 inst.mode == isa::AddrMode::PreIndex)
-            address += static_cast<std::uint64_t>(inst.imm);
-        if (!addressToLocation(address, _test.locations.size()))
-            return inFlightCount(thread) == 0;
-        return true;
-      }
+      case Opcode::Ldxr:
       case Opcode::Str:
       case Opcode::Stlr:
       case Opcode::Stxr: {
         bool addr_ready = ready(inst.rn) &&
             (inst.mode != isa::AddrMode::BaseReg || ready(inst.rm));
-        if (!addr_ready || !ready(inst.rd))
+        if (!addr_ready || (inst.isStore() && !ready(inst.rd)))
             return false;
-        std::uint64_t address = thread.regs[inst.rn];
-        if (inst.mode == isa::AddrMode::BaseReg)
-            address += thread.regs[inst.rm];
-        else if (inst.mode == isa::AddrMode::BaseImm ||
-                 inst.mode == isa::AddrMode::PreIndex)
-            address += static_cast<std::uint64_t>(inst.imm);
-        if (!addressToLocation(address, _test.locations.size()))
-            return inFlightCount(thread) == 0;
+        // A faulting access drains the window first (FEAT_ETS2).
+        if (!addressToLocation(thread.address(inst),
+                               _test.locations.size()))
+            return in_flight == 0;
         return true;
       }
     }
@@ -283,11 +556,11 @@ Machine::canIssue(int tid) const
 }
 
 int
-Machine::forwardingSource(const ThreadState &thread, int op_index,
-                          LocationId loc) const
+Machine::forwardingSource(const Thread &thread, int op_index,
+                          std::uint16_t loc)
 {
     for (int i = op_index - 1; i >= 0; --i) {
-        const InFlightOp &op = thread.ops[static_cast<std::size_t>(i)];
+        const InFlightOp &op = thread.ops[i];
         if (op.kind == InFlightOp::Kind::Store && !op.done &&
                 op.loc == loc) {
             return i;
@@ -299,20 +572,20 @@ Machine::forwardingSource(const ThreadState &thread, int op_index,
 bool
 Machine::canSatisfy(int tid, int op_index) const
 {
-    const ThreadState &thread = _threads[tid];
-    const InFlightOp &load = thread.ops[static_cast<std::size_t>(op_index)];
+    Thread thread = this->thread(tid);
+    const InFlightOp &load = thread.ops[op_index];
     if (load.kind != InFlightOp::Kind::Load || load.done)
         return false;
 
     for (int i = 0; i < op_index; ++i) {
-        const InFlightOp &op = thread.ops[static_cast<std::size_t>(i)];
+        const InFlightOp &op = thread.ops[i];
         if (op.done)
             continue;
         switch (op.kind) {
           case InFlightOp::Kind::Load:
             // Unsatisfied older load: blocked unless the profile
             // reorders loads; unsatisfied older acquire always blocks.
-            if (op.acquire || op.acquirePc)
+            if (op.order != InFlightOp::Order::Plain)
                 return false;
             if (!_profile.loadLoadReorder)
                 return false;
@@ -323,7 +596,8 @@ Machine::canSatisfy(int tid, int op_index) const
             break;
           case InFlightOp::Kind::Store:
             // Uncommitted older release blocks an acquire ([L];po;[A]).
-            if (op.release && load.acquire)
+            if (op.order == InFlightOp::Order::Release &&
+                    load.order == InFlightOp::Order::Acquire)
                 return false;
             break;
         }
@@ -331,8 +605,8 @@ Machine::canSatisfy(int tid, int op_index) const
 
     // Coherence: a program-order-later same-location load must not have
     // satisfied already (it could have read an older write).
-    for (std::size_t i = static_cast<std::size_t>(op_index) + 1;
-         i < thread.ops.size(); ++i) {
+    for (std::uint32_t i = static_cast<std::uint32_t>(op_index) + 1;
+         i < thread.h.numOps; ++i) {
         const InFlightOp &op = thread.ops[i];
         if (op.kind == InFlightOp::Kind::Load && op.done &&
                 op.loc == load.loc) {
@@ -349,7 +623,7 @@ Machine::canSatisfy(int tid, int op_index) const
         // its value. The load waits for the commit and then reads
         // memory, which is correct on both the success and the failure
         // path.
-        if (thread.ops[static_cast<std::size_t>(src)].exclusive)
+        if (thread.ops[src].exclusive)
             return false;
         if (!_profile.forwarding)
             return false;
@@ -360,24 +634,24 @@ Machine::canSatisfy(int tid, int op_index) const
 bool
 Machine::canCommit(int tid, int op_index) const
 {
-    const ThreadState &thread = _threads[tid];
-    const InFlightOp &store =
-        thread.ops[static_cast<std::size_t>(op_index)];
+    Thread thread = this->thread(tid);
+    const InFlightOp &store = thread.ops[op_index];
     if (store.kind != InFlightOp::Kind::Store || store.done)
         return false;
+    bool release = store.order == InFlightOp::Order::Release;
 
     for (int i = 0; i < op_index; ++i) {
-        const InFlightOp &op = thread.ops[static_cast<std::size_t>(i)];
+        const InFlightOp &op = thread.ops[i];
         if (op.done)
             continue;
         switch (op.kind) {
           case InFlightOp::Kind::Load:
-            if (op.acquire || op.acquirePc)
+            if (op.order != InFlightOp::Order::Plain)
                 return false;
             // An unsatisfied older same-location load must read first.
             if (op.loc == store.loc)
                 return false;
-            if (store.release)
+            if (release)
                 return false;
             if (!_profile.loadStoreReorder)
                 return false;
@@ -385,7 +659,7 @@ Machine::canCommit(int tid, int op_index) const
           case InFlightOp::Kind::Store:
             if (op.loc == store.loc)
                 return false;  // same-location stores commit in order
-            if (store.release)
+            if (release)
                 return false;
             if (!_profile.storeStoreReorder)
                 return false;
@@ -400,93 +674,112 @@ Machine::canCommit(int tid, int op_index) const
     return true;
 }
 
-std::vector<Machine::Transition>
-Machine::enabled() const
+std::size_t
+Machine::enabled(Transition *out) const
 {
-    std::vector<Transition> out;
-    for (int t = 0; t < static_cast<int>(_threads.size()); ++t) {
-        const ThreadState &thread = _threads[static_cast<std::size_t>(t)];
+    std::size_t n = 0;
+    for (int t = 0; t < static_cast<int>(_test.threads.size()); ++t) {
+        Thread thread = this->thread(t);
         if (canIssue(t))
-            out.push_back({Transition::Kind::Issue, t, -1});
-        for (int i = 0; i < static_cast<int>(thread.ops.size()); ++i) {
+            out[n++] = {Transition::Kind::Issue, t, -1};
+        for (int i = 0; i < static_cast<int>(thread.h.numOps); ++i) {
             if (canSatisfy(t, i))
-                out.push_back({Transition::Kind::Satisfy, t, i});
+                out[n++] = {Transition::Kind::Satisfy, t, i};
             if (canCommit(t, i))
-                out.push_back({Transition::Kind::Commit, t, i});
+                out[n++] = {Transition::Kind::Commit, t, i};
         }
-        if (atInterruptPoint(t) && interruptDeliverable(t)) {
-            out.push_back({Transition::Kind::TakeInterrupt, t, -1});
+        if (interruptDeliverable(t)) {
+            out[n++] = {Transition::Kind::TakeInterrupt, t, -1};
             // Only SGIs may be forgone (the scheduler models delivery
             // that arrives after the program completes); an explicit
             // "interrupt at" is mandatory.
             if (!_test.threads[static_cast<std::size_t>(t)].interruptAt &&
-                    thread.finished) {
-                out.push_back({Transition::Kind::ForgoInterrupt, t, -1});
+                    thread.h.finished) {
+                out[n++] = {Transition::Kind::ForgoInterrupt, t, -1};
             }
         }
     }
+    return n;
+}
+
+std::vector<Machine::Transition>
+Machine::enabled() const
+{
+    std::vector<Transition> out(maxEnabled());
+    out.resize(enabled(out.data()));
     return out;
 }
 
 void
-Machine::enterHandler(ThreadState &thread, std::uint64_t return_pc)
+Machine::enterHandler(const Thread &thread, std::uint64_t return_pc)
 {
-    thread.sysregs[sysregIndex(Sysreg::ELR_EL1)] = return_pc;
-    thread.sysregs[sysregIndex(Sysreg::SPSR_EL1)] =
-        thread.masked ? 1 : 0;
-    thread.savedMasked = thread.masked;
-    thread.masked = true;
-    thread.inHandler = true;
-    thread.handlerPc = 0;
-    thread.finished = false;
+    thread.sysreg(Sysreg::ELR_EL1) = return_pc;
+    thread.sysreg(Sysreg::SPSR_EL1) = thread.h.masked ? 1 : 0;
+    thread.h.savedMasked = thread.h.masked;
+    thread.h.masked = true;
+    thread.h.inHandler = true;
+    thread.h.handlerPc = 0;
+    thread.h.finished = false;
 }
 
 void
 Machine::takeFault(int tid, std::uint64_t address)
 {
-    ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
+    Thread thread = this->thread(tid);
     if (_test.threads[static_cast<std::size_t>(tid)].handler.code.empty())
         fatal("operational: fault with no handler in " + _test.name);
-    thread.sysregs[sysregIndex(Sysreg::ESR_EL1)] = sem::syndromeFor(
+    thread.sysreg(Sysreg::ESR_EL1) = sem::syndromeFor(
         ExceptionClass::DataAbortTranslation, 0);
-    thread.sysregs[sysregIndex(Sysreg::FAR_EL1)] = address;
+    thread.sysreg(Sysreg::FAR_EL1) = address;
     enterHandler(thread, sem::preferredReturn(
-        ExceptionClass::DataAbortTranslation, thread.pc));
+        ExceptionClass::DataAbortTranslation, thread.h.pc));
 }
 
 void
 Machine::takeInterrupt(int tid)
 {
-    ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
+    Thread thread = this->thread(tid);
     if (_test.threads[static_cast<std::size_t>(tid)].handler.code.empty())
         fatal("operational: interrupt with no handler in " + _test.name);
-    ++thread.interruptsTaken;
-    enterHandler(thread, thread.pc);
+    ++thread.h.interruptsTaken;
+    enterHandler(thread, thread.h.pc);
 }
 
 void
 Machine::issue(int tid)
 {
-    ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
+    Thread thread = this->thread(tid);
+    ThreadHeader &h = thread.h;
     const LitmusThread &spec = _test.threads[static_cast<std::size_t>(tid)];
-    const isa::Program &prog = thread.inHandler ? spec.handler
-                                                : spec.program;
-    std::size_t idx = thread.inHandler ? thread.handlerPc : thread.pc;
+    const isa::Program &prog = h.inHandler ? spec.handler : spec.program;
+    std::size_t idx = h.inHandler ? h.handlerPc : h.pc;
 
     if (idx >= prog.code.size()) {
         // Falling off the handler's end terminates the thread; falling
         // off the program's end finishes it (in-flight ops may drain).
-        thread.finished = true;
-        thread.inHandler = false;
+        h.finished = true;
+        h.inHandler = false;
         return;
     }
 
     const Instruction &inst = prog.code[idx];
     auto advance = [&]() {
-        if (thread.inHandler)
-            ++thread.handlerPc;
+        if (h.inHandler)
+            ++h.handlerPc;
         else
-            ++thread.pc;
+            ++h.pc;
+    };
+    auto jump = [&]() {
+        const auto &targets = h.inHandler ? thread.layout.handlerTargets
+                                          : thread.layout.programTargets;
+        if (h.inHandler)
+            h.handlerPc = targets[idx];
+        else
+            h.pc = targets[idx];
+    };
+    auto write = [&](isa::RegId reg, std::uint64_t value) {
+        thread.reg(reg) = value;
+        thread.source(reg) = -1;
     };
 
     switch (inst.op) {
@@ -496,23 +789,20 @@ Machine::issue(int tid)
         return;
 
       case Opcode::MovImm:
-        thread.regs[inst.rd] =
-            static_cast<std::uint64_t>(inst.imm) << inst.shift;
-        thread.regSource[inst.rd] = -1;
+        write(inst.rd, static_cast<std::uint64_t>(inst.imm) << inst.shift);
         advance();
         return;
 
       case Opcode::MovReg:
-        thread.regs[inst.rd] = thread.regs[inst.rn];
-        thread.regSource[inst.rd] = -1;
+        write(inst.rd, thread.reg(inst.rn));
         advance();
         return;
 
       case Opcode::Alu: {
-        std::uint64_t lhs = thread.regs[inst.rn];
+        std::uint64_t lhs = thread.reg(inst.rn);
         std::uint64_t rhs = inst.aluImmediate
             ? static_cast<std::uint64_t>(inst.imm)
-            : thread.regs[inst.rm];
+            : thread.reg(inst.rm);
         std::uint64_t result = 0;
         switch (inst.alu) {
           case isa::AluOp::Add: result = lhs + rhs; break;
@@ -521,115 +811,95 @@ Machine::issue(int tid)
           case isa::AluOp::And: result = lhs & rhs; break;
           case isa::AluOp::Orr: result = lhs | rhs; break;
         }
-        thread.regs[inst.rd] = result;
-        thread.regSource[inst.rd] = -1;
+        write(inst.rd, result);
         advance();
         return;
       }
 
       case Opcode::Cmp:
-        thread.cmpLhs = static_cast<std::int64_t>(thread.regs[inst.rn]);
-        thread.cmpRhs = inst.aluImmediate
+        h.cmpLhs = static_cast<std::int64_t>(thread.reg(inst.rn));
+        h.cmpRhs = inst.aluImmediate
             ? inst.imm
-            : static_cast<std::int64_t>(thread.regs[inst.rm]);
+            : static_cast<std::int64_t>(thread.reg(inst.rm));
         advance();
         return;
 
-      case Opcode::BCond: {
-        bool taken =
-            isa::condHoldsFor(inst.cond, thread.cmpLhs, thread.cmpRhs);
-        if (taken) {
-            std::size_t target = prog.labelIndex(inst.label);
-            if (thread.inHandler)
-                thread.handlerPc = target;
-            else
-                thread.pc = target;
-        } else {
+      case Opcode::BCond:
+        if (isa::condHoldsFor(inst.cond, h.cmpLhs, h.cmpRhs))
+            jump();
+        else
             advance();
-        }
         return;
-      }
 
       case Opcode::Cbz:
       case Opcode::Cbnz: {
-        bool zero = thread.regs[inst.rd] == 0;
-        bool taken = inst.op == Opcode::Cbz ? zero : !zero;
-        if (taken) {
-            std::size_t target = prog.labelIndex(inst.label);
-            if (thread.inHandler)
-                thread.handlerPc = target;
-            else
-                thread.pc = target;
-        } else {
+        bool zero = thread.reg(inst.rd) == 0;
+        if (inst.op == Opcode::Cbz ? zero : !zero)
+            jump();
+        else
             advance();
-        }
         return;
       }
 
-      case Opcode::B: {
-        std::size_t target = prog.labelIndex(inst.label);
-        if (thread.inHandler)
-            thread.handlerPc = target;
-        else
-            thread.pc = target;
+      case Opcode::B:
+        jump();
         return;
-      }
 
       case Opcode::Dmb:
       case Opcode::Dsb:
       case Opcode::Isb: {
-        InFlightOp op;
+        InFlightOp op{};
         op.kind = InFlightOp::Kind::Barrier;
         op.barrier = inst.barrier;
         // ISB is a no-op here: the machine never speculates.
         op.done = inst.op == Opcode::Isb;
-        thread.ops.push_back(op);
         advance();
+        pushOp(tid, op);
         completeBarriers();
         return;
       }
 
       case Opcode::Svc: {
-        rexAssert(!thread.inHandler,
+        rexAssert(!h.inHandler,
                   "operational: SVC inside handler unsupported");
         if (spec.handler.code.empty())
             fatal("operational: SVC with no handler in " + _test.name);
-        thread.sysregs[sysregIndex(Sysreg::ESR_EL1)] =
+        thread.sysreg(Sysreg::ESR_EL1) =
             sem::syndromeFor(ExceptionClass::Svc, 0);
-        enterHandler(thread, thread.pc + 1);
+        enterHandler(thread, h.pc + 1);
         return;
       }
 
       case Opcode::Eret: {
-        rexAssert(thread.inHandler, "operational: ERET outside handler");
-        std::uint64_t target =
-            thread.sysregs[sysregIndex(Sysreg::ELR_EL1)];
+        rexAssert(h.inHandler, "operational: ERET outside handler");
+        std::uint64_t target = thread.sysreg(Sysreg::ELR_EL1);
         if (target > spec.program.code.size())
             fatal("operational: ERET to bad address in " + _test.name);
-        thread.inHandler = false;
-        thread.pc = static_cast<std::size_t>(target);
-        thread.masked = thread.savedMasked;
+        h.inHandler = false;
+        h.pc = static_cast<std::uint32_t>(target);
+        h.masked = h.savedMasked;
         return;
       }
 
       case Opcode::Mrs: {
-        std::uint64_t value;
+        std::uint64_t value = 0;
+        std::int8_t slot = thread.layout.sysregSlot[sysregIndex(inst.sysreg)];
         if (inst.sysreg == Sysreg::ICC_IAR1_EL1)
             value = cpuInterface(tid).readIar();
-        else
-            value = thread.sysregs[sysregIndex(inst.sysreg)];
-        thread.regs[inst.rd] = value;
-        thread.regSource[inst.rd] = -1;
+        else if (slot >= 0)
+            value = thread.sysregs[slot];  // else never written: zero
+        write(inst.rd, value);
         advance();
         return;
       }
 
       case Opcode::Msr: {
-        std::uint64_t value = thread.regs[inst.rn];
+        std::uint64_t value = thread.reg(inst.rn);
         switch (inst.sysreg) {
           case Sysreg::ICC_SGI1R_EL1:
-            _gic.sendSgi(sem::decodeSgi1r(value),
-                         static_cast<std::uint32_t>(tid));
+            gic::Gic::sendSgi(sem::decodeSgi1r(value),
+                              static_cast<std::uint32_t>(tid),
+                              redistributors(), _test.threads.size());
             break;
           case Sysreg::ICC_EOIR1_EL1:
             cpuInterface(tid).writeEoir(value);
@@ -641,7 +911,7 @@ Machine::issue(int tid)
             cpuInterface(tid).writePmr(value);
             break;
           default:
-            thread.sysregs[sysregIndex(inst.sysreg)] = value;
+            thread.sysreg(inst.sysreg) = value;
             break;
         }
         advance();
@@ -651,7 +921,7 @@ Machine::issue(int tid)
       case Opcode::MsrDaifSet:
       case Opcode::MsrDaifClr:
         if (inst.imm & 0x2)
-            thread.masked = inst.op == Opcode::MsrDaifSet;
+            h.masked = inst.op == Opcode::MsrDaifSet;
         advance();
         return;
 
@@ -666,13 +936,7 @@ Machine::issue(int tid)
       case Opcode::Str:
       case Opcode::Stlr:
       case Opcode::Stxr: {
-        std::uint64_t address = thread.regs[inst.rn];
-        if (inst.mode == isa::AddrMode::BaseReg)
-            address += thread.regs[inst.rm];
-        else if (inst.mode == isa::AddrMode::BaseImm ||
-                 inst.mode == isa::AddrMode::PreIndex)
-            address += static_cast<std::uint64_t>(inst.imm);
-
+        std::uint64_t address = thread.address(inst);
         auto loc = addressToLocation(address, _test.locations.size());
         if (!loc) {
             // Faulting access: no writeback (§3.4), handler entry.
@@ -680,39 +944,37 @@ Machine::issue(int tid)
             return;
         }
 
-        InFlightOp op;
-        op.loc = *loc;
+        InFlightOp op{};
+        op.loc = static_cast<std::uint16_t>(*loc);
+        isa::RegId source_reg = isa::kZeroReg;
         if (inst.isLoad()) {
             op.kind = InFlightOp::Kind::Load;
-            op.destReg = inst.rd;
-            op.acquire = inst.op == Opcode::Ldar;
-            op.acquirePc = inst.op == Opcode::Ldapr;
+            op.reg = source_reg = inst.rd;
+            op.order = inst.op == Opcode::Ldar ? InFlightOp::Order::Acquire
+                : inst.op == Opcode::Ldapr ? InFlightOp::Order::AcquirePc
+                : InFlightOp::Order::Plain;
             op.exclusive = inst.op == Opcode::Ldxr;
-            if (inst.rd != isa::kZeroReg) {
-                thread.regSource[inst.rd] =
-                    static_cast<int>(thread.ops.size());
-            }
         } else {
             op.kind = InFlightOp::Kind::Store;
-            op.storeValue = thread.regs[inst.rd];
-            op.release = inst.op == Opcode::Stlr;
+            op.value = thread.reg(inst.rd);
+            op.order = inst.op == Opcode::Stlr ? InFlightOp::Order::Release
+                                               : InFlightOp::Order::Plain;
             op.exclusive = inst.op == Opcode::Stxr;
-            if (inst.op == Opcode::Stxr) {
-                op.statusReg = inst.rs;
-                if (inst.rs != isa::kZeroReg) {
-                    thread.regSource[inst.rs] =
-                        static_cast<int>(thread.ops.size());
-                }
-            }
+            if (op.exclusive)
+                op.reg = source_reg = inst.rs;
         }
-        thread.ops.push_back(op);
 
         // Post/pre-index writeback (only reached when non-faulting).
         if (inst.mode == isa::AddrMode::PostIndex)
-            thread.regs[inst.rn] += static_cast<std::uint64_t>(inst.imm);
+            thread.reg(inst.rn) += static_cast<std::uint64_t>(inst.imm);
         else if (inst.mode == isa::AddrMode::PreIndex)
-            thread.regs[inst.rn] = address;
+            thread.reg(inst.rn) = address;
         advance();
+
+        int index = pushOp(tid, op);  // may move the state
+        if (source_reg != isa::kZeroReg)
+            this->thread(tid).source(source_reg) =
+                static_cast<std::int16_t>(index);
         return;
       }
     }
@@ -722,46 +984,49 @@ Machine::issue(int tid)
 void
 Machine::satisfy(int tid, int op_index)
 {
-    ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
-    InFlightOp &load = thread.ops[static_cast<std::size_t>(op_index)];
+    Thread thread = this->thread(tid);
+    InFlightOp &load = thread.ops[op_index];
 
     int src = forwardingSource(thread, op_index, load.loc);
-    std::uint64_t value = src >= 0
-        ? thread.ops[static_cast<std::size_t>(src)].storeValue
-        : _memory[load.loc];
+    std::uint64_t value = src >= 0 ? thread.ops[src].value
+                                   : memory()[load.loc];
 
-    load.loadedValue = value;
+    load.value = value;
     load.done = true;
-    if (load.destReg != isa::kZeroReg &&
-            thread.regSource[load.destReg] == op_index) {
-        thread.regs[load.destReg] = value;
-        thread.regSource[load.destReg] = -1;
+    if (load.reg != isa::kZeroReg && thread.source(load.reg) == op_index) {
+        thread.reg(load.reg) = value;
+        thread.source(load.reg) = -1;
     }
-    if (load.exclusive)
-        thread.monitor = {{load.loc, _memVersion[load.loc]}};
+    if (load.exclusive) {
+        thread.h.hasMonitor = true;
+        thread.h.monitorLoc = load.loc;
+        thread.h.monitorVersion = versions()[load.loc];
+    }
     completeBarriers();
 }
 
 void
 Machine::commit(int tid, int op_index)
 {
-    ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
-    InFlightOp &store = thread.ops[static_cast<std::size_t>(op_index)];
+    Thread thread = this->thread(tid);
+    InFlightOp &store = thread.ops[op_index];
 
     bool success = true;
     if (store.exclusive) {
-        success = thread.monitor && thread.monitor->first == store.loc &&
-            _memVersion[store.loc] == thread.monitor->second;
-        thread.monitor.reset();
-        if (store.statusReg != isa::kZeroReg &&
-                thread.regSource[store.statusReg] == op_index) {
-            thread.regs[store.statusReg] = success ? 0 : 1;
-            thread.regSource[store.statusReg] = -1;
+        success = thread.h.hasMonitor && thread.h.monitorLoc == store.loc &&
+            versions()[store.loc] == thread.h.monitorVersion;
+        thread.h.hasMonitor = false;
+        thread.h.monitorLoc = 0;
+        thread.h.monitorVersion = 0;
+        if (store.reg != isa::kZeroReg &&
+                thread.source(store.reg) == op_index) {
+            thread.reg(store.reg) = success ? 0 : 1;
+            thread.source(store.reg) = -1;
         }
     }
     if (success) {
-        _memory[store.loc] = store.storeValue;
-        ++_memVersion[store.loc];
+        memory()[store.loc] = store.value;
+        ++versions()[store.loc];
     }
     store.done = true;
     completeBarriers();
@@ -776,13 +1041,14 @@ Machine::completeBarriers()
     bool changed = true;
     while (changed) {
         changed = false;
-        for (ThreadState &thread : _threads) {
-            for (std::size_t i = 0; i < thread.ops.size(); ++i) {
+        for (int t = 0; t < static_cast<int>(_test.threads.size()); ++t) {
+            Thread thread = this->thread(t);
+            for (std::uint32_t i = 0; i < thread.h.numOps; ++i) {
                 InFlightOp &op = thread.ops[i];
                 if (op.done || op.kind != InFlightOp::Kind::Barrier)
                     continue;
                 bool ok = true;
-                for (std::size_t j = 0; j < i && ok; ++j) {
+                for (std::uint32_t j = 0; j < i && ok; ++j) {
                     const InFlightOp &prev = thread.ops[j];
                     if (prev.done)
                         continue;
@@ -823,8 +1089,7 @@ Machine::apply(const Transition &transition)
         takeInterrupt(transition.thread);
         return;
       case Transition::Kind::ForgoInterrupt:
-        _threads[static_cast<std::size_t>(transition.thread)]
-            .forgoInterrupt = true;
+        thread(transition.thread).h.forgoInterrupt = true;
         return;
     }
     panic("operational: unhandled transition kind");
@@ -833,11 +1098,11 @@ Machine::apply(const Transition &transition)
 bool
 Machine::done() const
 {
-    for (int t = 0; t < static_cast<int>(_threads.size()); ++t) {
-        const ThreadState &thread = _threads[static_cast<std::size_t>(t)];
-        if (!thread.finished)
+    for (int t = 0; t < static_cast<int>(_test.threads.size()); ++t) {
+        Thread thread = this->thread(t);
+        if (!thread.h.finished)
             return false;
-        if (inFlightCount(thread) > 0)
+        if (thread.inFlightCount() > 0)
             return false;
         if (interruptDeliverable(t))
             return false;  // must be taken or forgone first
@@ -852,66 +1117,13 @@ Machine::outcome() const
     for (const CondAtom &atom : _test.finalCond.atoms) {
         if (atom.kind != CondAtom::Kind::Register)
             continue;
-        const ThreadState &thread =
-            _threads[static_cast<std::size_t>(atom.tid)];
         out.values[std::to_string(atom.tid) + ":" +
-                   isa::regName(atom.reg)] = thread.regs[atom.reg];
+                   isa::regName(atom.reg)] = thread(atom.tid).reg(atom.reg);
     }
+    const std::uint64_t *memory = this->memory();
     for (LocationId loc = 0; loc < _test.locations.size(); ++loc)
-        out.values["*" + _test.locations[loc]] = _memory[loc];
+        out.values["*" + _test.locations[loc]] = memory[loc];
     return out;
-}
-
-std::string
-Machine::stateKey() const
-{
-    std::string key;
-    auto u64 = [&](std::uint64_t v) {
-        key.append(reinterpret_cast<const char *>(&v), sizeof(v));
-    };
-    for (const ThreadState &thread : _threads) {
-        u64(thread.pc);
-        u64(thread.handlerPc);
-        key += static_cast<char>(
-            (thread.inHandler << 0) | (thread.finished << 1) |
-            (thread.masked << 2) | (thread.savedMasked << 3) |
-            (thread.forgoInterrupt << 4));
-        key += static_cast<char>(thread.interruptsTaken);
-        u64(static_cast<std::uint64_t>(thread.cmpLhs));
-        u64(static_cast<std::uint64_t>(thread.cmpRhs));
-        for (std::size_t r = 0; r < isa::kNumRegs; ++r) {
-            u64(thread.regs[r]);
-            key += static_cast<char>(thread.regSource[r] & 0xFF);
-        }
-        for (std::uint64_t sr : thread.sysregs)
-            u64(sr);
-        if (thread.monitor) {
-            u64(thread.monitor->first);
-            u64(thread.monitor->second);
-        } else {
-            key += 'n';
-        }
-        u64(thread.ops.size());
-        for (const InFlightOp &op : thread.ops) {
-            key += static_cast<char>(op.kind);
-            key += op.done ? '1' : '0';
-            u64(op.loc);
-            u64(op.storeValue);
-            u64(op.loadedValue);
-        }
-        key += '|';
-    }
-    for (std::uint64_t v : _memory)
-        u64(v);
-    for (std::uint64_t v : _memVersion)
-        u64(v);
-    for (std::size_t pe = 0; pe < _gic.numPes(); ++pe) {
-        const gic::Redistributor &redist = _gic.redistributor(pe);
-        for (std::uint32_t intid = 0; intid < 16; ++intid)
-            key += static_cast<char>(redist.state(intid));
-        key += static_cast<char>(redist.runningPriority());
-    }
-    return key;
 }
 
 } // namespace rex::op

@@ -23,16 +23,27 @@
  *
  * A scheduler (random or exhaustive; see runner.hh / explorer.hh) picks
  * among enabled transitions.
+ *
+ * The state is flat: one trivially-copyable run of bytes, laid out once
+ * per test, whose bytes are exactly its memo key. The layout keeps, per
+ * thread, only the live registers (non-zero initially, named by some
+ * instruction of the program or handler, or by the final condition) and
+ * the sysregs the thread can write, then its in-flight operations as
+ * packed records; after the threads come memory, per-location commit
+ * versions and, when the test touches the GIC at all, one
+ * gic::Redistributor per PE. Unused bytes are always zero, so two
+ * states are equal exactly when their bytes are.
  */
 
 #ifndef REX_OPERATIONAL_MACHINE_HH
 #define REX_OPERATIONAL_MACHINE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gic/cpu_interface.hh"
@@ -84,6 +95,17 @@ class Machine
     /** All transitions enabled in the current state. */
     std::vector<Transition> enabled() const;
 
+    /**
+     * Write the enabled transitions to @p out, which has room for
+     * maxEnabled() of them, in the same order as enabled().
+     * @return how many were written.
+     */
+    std::size_t enabled(Transition *out) const;
+
+    /** An upper bound on the number of enabled transitions; it rises
+     *  only when the layout widens (see setState()). */
+    std::size_t maxEnabled() const { return _layout.maxEnabled; }
+
     /** Apply one (enabled) transition. */
     void apply(const Transition &transition);
 
@@ -94,64 +116,148 @@ class Machine
     Outcome outcome() const;
 
     /**
-     * A canonical serialisation of the state, for memoisation in
-     * exhaustive exploration.
+     * The state: stateBytes() bytes (a multiple of 8), which are its
+     * exact memo key for exhaustive exploration.
      */
-    std::string stateKey() const;
+    const std::byte *state() const { return _state.data(); }
+    std::size_t stateBytes() const { return _state.size(); }
+
+    /** The state's bytes as a key (valid until the state changes). */
+    std::string_view stateKey() const;
+
+    /**
+     * Replace the state with @p bytes, a state() this machine produced
+     * under the same stateBytes().
+     *
+     * stateBytes() is fixed per test except in one case: a thread that
+     * issues more accesses than its layout reserved (a fault or a loop
+     * re-running code) widens the layout, which changes stateBytes()
+     * and makes earlier states unusable.
+     */
+    void setState(const std::byte *bytes);
 
   private:
-    /** One in-flight memory operation. */
+    /** One in-flight memory operation: a packed 16-byte record. */
     struct InFlightOp {
         enum class Kind : std::uint8_t { Load, Store, Barrier };
-        Kind kind = Kind::Load;
-        LocationId loc = 0;
-        std::uint64_t storeValue = 0;
-        isa::RegId destReg = isa::kZeroReg;  //!< load target / STXR status
-        BarrierKind barrier = BarrierKind::DmbSy;
-        bool acquire = false;
-        bool acquirePc = false;
-        bool release = false;
-        bool exclusive = false;
-        isa::RegId statusReg = isa::kZeroReg;  //!< STXR status register
-        bool done = false;
-        std::uint64_t loadedValue = 0;
+        enum class Order : std::uint8_t {
+            Plain,
+            Acquire,    //!< LDAR
+            AcquirePc,  //!< LDAPR
+            Release,    //!< STLR
+        };
+        /** A store's value, or the value a satisfied load read. */
+        std::uint64_t value;
+        std::uint16_t loc;
+        Kind kind;
+        Order order;
+        BarrierKind barrier;
+        /** Load target, or STXR status register. */
+        isa::RegId reg;
+        bool exclusive;
+        bool done;
     };
 
-    /** One simulated hardware thread. */
-    struct ThreadState {
-        std::size_t pc = 0;
-        bool inHandler = false;
-        std::size_t handlerPc = 0;
-        bool finished = false;
-
-        std::array<std::uint64_t, isa::kNumRegs> regs{};
-        /** In-flight op index producing the register, or -1 if ready. */
-        std::array<int, isa::kNumRegs> regSource{};
-
-        std::array<std::uint64_t, isa::kNumSysregs> sysregs{};
-
-        bool masked = false;
-        bool savedMasked = false;
-
+    /** The fixed part of one simulated hardware thread. */
+    struct ThreadHeader {
         /** NZCV state: the last comparison's operands. */
-        std::int64_t cmpLhs = 0;
-        std::int64_t cmpRhs = 0;
-        int interruptsTaken = 0;
-        bool forgoInterrupt = false;
-
-        /** Exclusive monitor: location and memory version at LDXR. */
-        std::optional<std::pair<LocationId, std::uint64_t>> monitor;
-
-        std::vector<InFlightOp> ops;
+        std::int64_t cmpLhs;
+        std::int64_t cmpRhs;
+        std::uint32_t pc;
+        std::uint32_t handlerPc;
+        std::uint32_t numOps;
+        /** Exclusive monitor: memory version of monitorLoc at LDXR. */
+        std::uint32_t monitorVersion;
+        std::uint16_t monitorLoc;
+        bool hasMonitor;
+        bool inHandler;
+        bool finished;
+        bool masked;
+        bool savedMasked;
+        bool forgoInterrupt;
+        std::uint8_t interruptsTaken;
+        std::uint8_t pad[7];
     };
 
-    bool regReady(const ThreadState &thread, isa::RegId reg) const;
-    std::size_t inFlightCount(const ThreadState &thread) const;
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+    /** Where one thread lives in the state, decoded once per test. */
+    struct ThreadLayout {
+        /** State slot of each register / sysreg; -1 when not kept
+         *  (a register never touched, a sysreg never written). */
+        std::array<std::int8_t, isa::kNumRegs> regSlot;
+        std::array<std::int8_t, isa::kNumSysregs> sysregSlot;
+        std::size_t numRegs = 0;
+        std::size_t numSysregs = 0;
+        std::uint32_t opCapacity = 0;
+        /** Byte offsets; the thread's block ends with its ops. */
+        std::size_t header = 0;
+        std::size_t regs = 0;
+        std::size_t sysregs = 0;
+        std::size_t regSource = 0;
+        std::size_t ops = 0;
+        /** Program index of the "interrupt at" label, or kAbsent. */
+        std::size_t interruptAt = kAbsent;
+        /** Branch target of each instruction (0 for non-branches). */
+        std::vector<std::uint32_t> programTargets;
+        std::vector<std::uint32_t> handlerTargets;
+    };
+
+    struct Layout {
+        std::vector<ThreadLayout> threads;
+        std::size_t memory = 0;
+        std::size_t versions = 0;
+        /** Offset of the redistributors, or kAbsent when the test
+         *  never touches the GIC (its state then never changes). */
+        std::size_t gic = kAbsent;
+        std::size_t bytes = 0;
+        std::size_t maxEnabled = 0;
+    };
+
+    /** One thread's view of the state: pointers into _state. */
+    struct Thread {
+        ThreadHeader &h;
+        std::uint64_t *regs;
+        std::uint64_t *sysregs;
+        std::int16_t *regSource;
+        InFlightOp *ops;
+        const ThreadLayout &layout;
+
+        std::uint64_t &reg(isa::RegId r) const
+        {
+            return regs[layout.regSlot[r]];
+        }
+        std::int16_t &source(isa::RegId r) const
+        {
+            return regSource[layout.regSlot[r]];
+        }
+        bool ready(isa::RegId r) const { return source(r) < 0; }
+        std::uint64_t &sysreg(isa::Sysreg s) const;
+        /** The effective address of a memory access. */
+        std::uint64_t address(const isa::Instruction &inst) const;
+        std::size_t inFlightCount() const;
+    };
+
+    Layout buildLayout(const std::vector<std::uint32_t> &op_capacity) const;
+
+    /** A zeroed state buffer for @p layout, holding the typed objects
+     *  the layout places in it. */
+    static std::vector<std::byte> emptyState(const Layout &layout,
+                                             std::size_t num_locations);
+
+    /** Give thread @p tid room for more ops, keeping the state. */
+    void grow(int tid);
+
+    /** A view of thread @p tid. The state is logically const in const
+     *  members, which only read through the view. */
+    Thread thread(int tid) const;
+    std::uint64_t *memory() const;
+    std::uint32_t *versions() const;
+    gic::Redistributor *redistributors() const;
 
     bool canIssue(int tid) const;
     bool canSatisfy(int tid, int op_index) const;
     bool canCommit(int tid, int op_index) const;
-    bool atInterruptPoint(int tid) const;
     bool interruptDeliverable(int tid) const;
 
     void issue(int tid);
@@ -159,21 +265,21 @@ class Machine
     void commit(int tid, int op_index);
     void takeInterrupt(int tid);
 
-    void enterHandler(ThreadState &thread, std::uint64_t return_pc);
+    /** Append @p op to thread @p tid (growing if full); its index. */
+    int pushOp(int tid, const InFlightOp &op);
+
+    void enterHandler(const Thread &thread, std::uint64_t return_pc);
     void takeFault(int tid, std::uint64_t address);
     void completeBarriers();
 
     /** Find the youngest not-done earlier same-location store. */
-    int forwardingSource(const ThreadState &thread, int op_index,
-                         LocationId loc) const;
+    static int forwardingSource(const Thread &thread, int op_index,
+                                std::uint16_t loc);
 
     const LitmusTest &_test;
     CoreProfile _profile;
-
-    std::vector<ThreadState> _threads;
-    std::vector<std::uint64_t> _memory;
-    std::vector<std::uint64_t> _memVersion;
-    gic::Gic _gic;
+    Layout _layout;
+    std::vector<std::byte> _state;
 
     /** The (stateless) CPU-interface view for one PE. */
     gic::CpuInterface cpuInterface(int tid) const;

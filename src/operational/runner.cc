@@ -33,17 +33,17 @@ Runner::run(const LitmusTest &test, std::uint64_t runs)
 {
     RunStats stats;
     Machine machine(test, _profile);
+    std::vector<Machine::Transition> transitions;
     for (std::uint64_t r = 0; r < runs; ++r) {
         machine.reset();
         std::uint64_t steps = 0;
         while (!machine.done()) {
-            auto transitions = machine.enabled();
-            if (transitions.empty()) {
+            transitions.resize(machine.maxEnabled());
+            std::size_t count = machine.enabled(transitions.data());
+            if (count == 0) {
                 fatal("operational machine stuck in test " + test.name);
             }
-            const auto &pick = transitions[
-                nextRandom() % transitions.size()];
-            machine.apply(pick);
+            machine.apply(transitions[nextRandom() % count]);
             if (++steps > 100000)
                 fatal("operational machine diverged in test " + test.name);
         }

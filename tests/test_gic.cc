@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gic/cpu_interface.hh"
 #include "gic/gic.hh"
 #include "sem/exception.hh"
@@ -211,6 +213,132 @@ TEST(GicCpuInterface, PmrWrite)
     cif.writePmr(0x10);
     gic.redistributor(0).pend(2);  // default priority 0xA0 > mask 0x10
     EXPECT_FALSE(cif.irqPending());
+}
+
+/** Run @p body and return what it wrote to the warning stream. */
+template <class Body>
+std::string
+warningsOf(Body body)
+{
+    testing::internal::CaptureStderr();
+    body();
+    return testing::internal::GetCapturedStderr();
+}
+
+TEST(GicOutOfRange, IntidsBeyondTheSgisReadInactive)
+{
+    Redistributor redist;
+    EXPECT_EQ(redist.state(16), IntState::Inactive);
+    EXPECT_EQ(redist.state(kSpuriousIntid), IntState::Inactive);
+    EXPECT_EQ(redist.state(0xFFFFFF), IntState::Inactive);
+    redist.clearPending(kSpuriousIntid);  // no-op
+    EXPECT_FALSE(redist.irqPending());
+}
+
+TEST(GicOutOfRange, DirOfUnmodelledIntidWarnsAndChangesNothing)
+{
+    for (std::uint32_t intid : {16u, 17u, kSpuriousIntid}) {
+        Gic gic(1);
+        gic::CpuInterface cif(gic, 0, /*eoi_mode1=*/true);
+        gic.redistributor(0).pend(4);
+        ASSERT_EQ(cif.readIar(), 4u);
+        std::string warned = warningsOf([&] { cif.writeDir(intid); });
+        EXPECT_NE(warned.find("deactivating a non-active interrupt"),
+                  std::string::npos) << intid;
+        EXPECT_EQ(gic.redistributor(0).state(4), IntState::Active);
+        EXPECT_EQ(gic.redistributor(0).state(intid), IntState::Inactive);
+        EXPECT_EQ(gic.redistributor(0).runningPriority(),
+                  gic::kDefaultPriority);
+    }
+}
+
+TEST(GicOutOfRange, EoiMode0SpuriousWriteBackDropsButDeactivatesNothing)
+{
+    // A handler that writes back whatever IAR returned, including the
+    // spurious 1023: the drop pops the (only) acknowledge, and the
+    // deactivation finds no such active INTID.
+    Gic gic(1);
+    gic::CpuInterface cif(gic, 0, /*eoi_mode1=*/false);
+    gic.redistributor(0).pend(4);
+    ASSERT_EQ(cif.readIar(), 4u);
+    std::string warned = warningsOf([&] { cif.writeEoir(kSpuriousIntid); });
+    EXPECT_NE(warned.find("deactivating a non-active interrupt"),
+              std::string::npos);
+    EXPECT_EQ(gic.redistributor(0).runningPriority(), gic::kIdlePriority);
+    EXPECT_EQ(gic.redistributor(0).state(4), IntState::Active);
+
+    // With nothing acknowledged, the drop itself warns too.
+    warned = warningsOf([&] { cif.writeEoir(kSpuriousIntid); });
+    EXPECT_NE(warned.find("priority drop with no active acknowledge"),
+              std::string::npos);
+    EXPECT_EQ(gic.redistributor(0).runningPriority(), gic::kIdlePriority);
+}
+
+TEST(GicOutOfRange, EoiMode1SpuriousWriteBackOnlyDrops)
+{
+    Gic gic(1);
+    gic::CpuInterface cif(gic, 0, /*eoi_mode1=*/true);
+    gic.redistributor(0).pend(4);
+    ASSERT_EQ(cif.readIar(), 4u);
+    std::string warned = warningsOf([&] { cif.writeEoir(16); });
+    EXPECT_EQ(warned, "");
+    EXPECT_EQ(gic.redistributor(0).runningPriority(), gic::kIdlePriority);
+    EXPECT_EQ(gic.redistributor(0).state(4), IntState::Active);
+    cif.writeDir(4);
+    EXPECT_EQ(gic.redistributor(0).state(4), IntState::Inactive);
+}
+
+TEST(GicNesting, DropsFollowAcknowledgeOrderNotTheWrittenIntid)
+{
+    for (bool eoi_mode1 : {false, true}) {
+        Gic gic(1);
+        Redistributor &redist = gic.redistributor(0);
+        gic::CpuInterface cif(gic, 0, eoi_mode1);
+        redist.setPriority(2, 0x80);
+        redist.setPriority(9, 0x40);
+        redist.pend(2);
+        ASSERT_EQ(cif.readIar(), 2u);
+        redist.pend(9);  // preempts: 0x40 is above the running 0x80
+        ASSERT_EQ(cif.readIar(), 9u);
+        EXPECT_EQ(redist.runningPriority(), 0x40);
+
+        // EOIR naming the outer INTID still drops the inner level...
+        cif.writeEoir(2);
+        EXPECT_EQ(redist.runningPriority(), 0x80);
+        // ...but deactivation (EOImode=0) is by the written INTID.
+        EXPECT_EQ(redist.state(2), eoi_mode1 ? IntState::Active
+                                             : IntState::Inactive);
+        EXPECT_EQ(redist.state(9), IntState::Active);
+
+        cif.writeEoir(9);
+        EXPECT_EQ(redist.runningPriority(), gic::kIdlePriority);
+        EXPECT_EQ(redist.state(9), eoi_mode1 ? IntState::Active
+                                             : IntState::Inactive);
+        if (eoi_mode1) {
+            cif.writeDir(9);
+            cif.writeDir(2);
+        }
+        EXPECT_EQ(redist.state(2), IntState::Inactive);
+        EXPECT_EQ(redist.state(9), IntState::Inactive);
+
+        // A further drop has nothing to pop.
+        std::string warned = warningsOf([&] { redist.priorityDrop(9); });
+        EXPECT_NE(warned.find("priority drop with no active acknowledge"),
+                  std::string::npos);
+    }
+}
+
+TEST(GicNesting, EqualPriorityDoesNotPreempt)
+{
+    Redistributor redist;
+    redist.pend(1);
+    redist.pend(3);
+    EXPECT_EQ(redist.acknowledge(), 1u);  // lowest INTID wins a tie
+    EXPECT_FALSE(redist.irqPending());    // 3 is not above the running
+    EXPECT_EQ(redist.acknowledge(), kSpuriousIntid);
+    redist.priorityDrop(1);
+    EXPECT_TRUE(redist.irqPending());
+    EXPECT_EQ(redist.acknowledge(), 3u);
 }
 
 TEST(GicSgiEncoding, DecodeFields)

@@ -274,15 +274,55 @@ TEST(MachineTest, StateKeyDistinguishesStates)
         "    STR X2,[X1]\n"
         "allowed: *x=1\n");
     Machine machine(test, CoreProfile::cortexA53());
-    std::string k0 = machine.stateKey();
+    std::string k0(machine.stateKey());
     applyOne(machine, Kind::Issue, 0);
-    std::string k1 = machine.stateKey();
+    std::string k1(machine.stateKey());
     applyOne(machine, Kind::Commit, 0);
-    std::string k2 = machine.stateKey();
+    std::string k2(machine.stateKey());
     EXPECT_NE(k0, k1);
     EXPECT_NE(k1, k2);
     machine.reset();
     EXPECT_EQ(machine.stateKey(), k0);
+}
+
+TEST(MachineTest, StateKeySeesThePriorityMask)
+{
+    // Thread 0 acknowledges twice, writing each IAR value back to EOIR
+    // and the first one to the PMR; X0 is cleared at the end. Whether
+    // thread 1's SGI arrives before the first or the second acknowledge
+    // leaves pc, registers, memory and INTID states equal, but the PMR
+    // holds the spurious 1023 (0xFF) in one schedule and INTID 0 in the
+    // other, which changes what a later SGI could do.
+    LitmusTest test = parseLitmus(
+        "name: t\n"
+        "init: 1:X2=0x10000000000\n"
+        "thread 0:\n"
+        "    MRS X0,ICC_IAR1_EL1\n"
+        "    MSR ICC_PMR_EL1,X0\n"
+        "    MSR ICC_EOIR1_EL1,X0\n"
+        "    MRS X0,ICC_IAR1_EL1\n"
+        "    MSR ICC_EOIR1_EL1,X0\n"
+        "    EOR X0,X0,X0\n"
+        "thread 1:\n"
+        "    MSR ICC_SGI1R_EL1,X2\n"
+        "allowed: 0:X0=0\n");
+    auto issue = [](Machine &machine, int thread, int n) {
+        for (int i = 0; i < n; ++i)
+            applyOne(machine, Kind::Issue, thread);
+    };
+    Machine late(test, CoreProfile::cortexA53());
+    issue(late, 0, 3);  // IAR reads 1023; PMR := 0xFF
+    issue(late, 1, 2);  // SGI, then thread 1 ends
+    issue(late, 0, 4);  // IAR reads 0, EOIR drops and deactivates it
+
+    Machine early(test, CoreProfile::cortexA53());
+    issue(early, 1, 2);
+    issue(early, 0, 7);  // IAR reads 0; PMR := 0; the second reads 1023
+
+    ASSERT_TRUE(late.done());
+    ASSERT_TRUE(early.done());
+    EXPECT_EQ(late.outcome().key(), early.outcome().key());
+    EXPECT_NE(std::string(late.stateKey()), std::string(early.stateKey()));
 }
 
 TEST(MachineTest, ReleaseWaitsForAllEarlierAccesses)

@@ -53,11 +53,10 @@ fsyncPath(const std::string &path)
 bool
 fsyncParentDir(const std::string &path)
 {
-    std::string dir;
     const std::size_t slash = path.find_last_of('/');
-    dir = slash == std::string::npos ? "." : path.substr(0, slash);
-    if (dir.empty())
-        dir = "/";
+    const std::string dir = slash == std::string::npos ? "."
+        : slash == 0 ? "/"
+        : path.substr(0, slash);
     int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
     if (fd < 0) {
         warnOnce("fsync: cannot open directory", dir);

@@ -190,8 +190,18 @@ exploreLayout(Machine &machine, const LitmusTest &test,
         }
         if (transitions.size() < (stack.size() + 1) * width)
             transitions.resize(2 * (stack.size() + 1) * width);
-        std::size_t count =
-            machine.enabled(transitions.data() + stack.size() * width);
+        Machine::Transition *enabled =
+            transitions.data() + stack.size() * width;
+        std::size_t count = machine.enabled(enabled);
+        // Persistent set: a local Issue alone (see explorer.hh).
+        for (std::size_t i = 0; i < count; ++i) {
+            if (enabled[i].kind == Machine::Transition::Kind::Issue &&
+                    machine.issueIsLocal(enabled[i].thread)) {
+                enabled[0] = enabled[i];
+                count = 1;
+                break;
+            }
+        }
         stack.push_back({index, static_cast<std::uint32_t>(count), 0});
     };
 

@@ -470,6 +470,24 @@ Machine::interruptDeliverable(int tid) const
 }
 
 bool
+Machine::issueIsLocal(int tid) const
+{
+    Thread thread = this->thread(tid);
+    const ThreadHeader &h = thread.h;
+    const LitmusThread &spec = _test.threads[static_cast<std::size_t>(tid)];
+    const isa::Program &prog = h.inHandler ? spec.handler : spec.program;
+    std::size_t idx = h.inHandler ? h.handlerPc : h.pc;
+    if (idx < prog.code.size() && touchesGic(prog.code[idx]))
+        return false;
+    // An SGI from another thread could make this thread's interrupt
+    // deliverable, and taking it competes with the Issue for the pc.
+    bool interruptible = _layout.gic != kAbsent && !spec.interruptAt &&
+        !spec.handler.code.empty() && !h.inHandler &&
+        h.interruptsTaken == 0 && !h.forgoInterrupt && !h.masked;
+    return !interruptible;
+}
+
+bool
 Machine::canIssue(int tid) const
 {
     Thread thread = this->thread(tid);
@@ -855,7 +873,7 @@ Machine::issue(int tid)
         op.done = inst.op == Opcode::Isb;
         advance();
         pushOp(tid, op);
-        completeBarriers();
+        completeBarriers(tid);
         return;
       }
 
@@ -1002,7 +1020,7 @@ Machine::satisfy(int tid, int op_index)
         thread.h.monitorLoc = load.loc;
         thread.h.monitorVersion = versions()[load.loc];
     }
-    completeBarriers();
+    completeBarriers(tid);
 }
 
 void
@@ -1029,46 +1047,42 @@ Machine::commit(int tid, int op_index)
         ++versions()[store.loc];
     }
     store.done = true;
-    completeBarriers();
+    completeBarriers(tid);
 }
 
 void
-Machine::completeBarriers()
+Machine::completeBarriers(int tid)
 {
     // Barriers complete eagerly once their constraints hold; completion
     // has no side effect beyond enabling later operations, so eager
-    // completion preserves the reachable-outcome set.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int t = 0; t < static_cast<int>(_test.threads.size()); ++t) {
-            Thread thread = this->thread(t);
-            for (std::uint32_t i = 0; i < thread.h.numOps; ++i) {
-                InFlightOp &op = thread.ops[i];
-                if (op.done || op.kind != InFlightOp::Kind::Barrier)
-                    continue;
-                bool ok = true;
-                for (std::uint32_t j = 0; j < i && ok; ++j) {
-                    const InFlightOp &prev = thread.ops[j];
-                    if (prev.done)
-                        continue;
-                    if (prev.kind == InFlightOp::Kind::Load &&
-                            barrierOrdersLoads(op.barrier)) {
-                        ok = false;
-                    }
-                    if (prev.kind == InFlightOp::Kind::Store &&
-                            barrierOrdersStores(op.barrier)) {
-                        ok = false;
-                    }
-                    if (prev.kind == InFlightOp::Kind::Barrier)
-                        ok = false;
-                }
-                if (ok) {
-                    op.done = true;
-                    changed = true;
-                }
+    // completion preserves the reachable-outcome set. A barrier waits
+    // only on its own thread's older ops, so only the acting thread's
+    // barriers can have become completable, and one oldest-first pass
+    // completes them all: completing a barrier unblocks younger ones
+    // only.
+    Thread thread = this->thread(tid);
+    for (std::uint32_t i = 0; i < thread.h.numOps; ++i) {
+        InFlightOp &op = thread.ops[i];
+        if (op.done || op.kind != InFlightOp::Kind::Barrier)
+            continue;
+        bool ok = true;
+        for (std::uint32_t j = 0; j < i && ok; ++j) {
+            const InFlightOp &prev = thread.ops[j];
+            if (prev.done)
+                continue;
+            if (prev.kind == InFlightOp::Kind::Load &&
+                    barrierOrdersLoads(op.barrier)) {
+                ok = false;
             }
+            if (prev.kind == InFlightOp::Kind::Store &&
+                    barrierOrdersStores(op.barrier)) {
+                ok = false;
+            }
+            if (prev.kind == InFlightOp::Kind::Barrier)
+                ok = false;
         }
+        if (ok)
+            op.done = true;
     }
 }
 

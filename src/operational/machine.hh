@@ -22,7 +22,12 @@
  * is what lets accesses reorder across exception boundaries (§3.2).
  *
  * A scheduler (random or exhaustive; see runner.hh / explorer.hh) picks
- * among enabled transitions.
+ * among enabled transitions. An Issue is local (issueIsLocal()) when
+ * its instruction does not touch the GIC and no other thread's SGI can
+ * interrupt the thread before it; the exhaustive explorer then expands
+ * that Issue alone. Barriers complete eagerly after each transition,
+ * and only the acting thread's can: a barrier waits on its own
+ * thread's older ops alone.
  *
  * The state is flat: one trivially-copyable run of bytes, laid out once
  * per test, whose bytes are exactly its memo key. The layout keeps, per
@@ -105,6 +110,15 @@ class Machine
     /** An upper bound on the number of enabled transitions; it rises
      *  only when the layout widens (see setState()). */
     std::size_t maxEnabled() const { return _layout.maxEnabled; }
+
+    /**
+     * True when thread @p tid's next Issue is local: it touches only
+     * the thread's own header, registers, sysregs and ops, and no other
+     * thread can make this thread's interrupt deliverable before it.
+     * Such an Issue commutes with every other transition and stays
+     * enabled under all of them (see explorer.hh).
+     */
+    bool issueIsLocal(int tid) const;
 
     /** Apply one (enabled) transition. */
     void apply(const Transition &transition);
@@ -270,7 +284,8 @@ class Machine
 
     void enterHandler(const Thread &thread, std::uint64_t return_pc);
     void takeFault(int tid, std::uint64_t address);
-    void completeBarriers();
+    /** Complete thread @p tid's barriers whose older ops are done. */
+    void completeBarriers(int tid);
 
     /** Find the youngest not-done earlier same-location store. */
     static int forwardingSource(const Thread &thread, int op_index,

@@ -4,14 +4,17 @@
  * as they were before the state became flat. Its machine keeps every
  * register, sysreg and in-flight op in nested containers, is copied
  * whole per DFS frame, and is memoised on a serialised string key in an
- * unordered_set. It exists so that the production explorer can be
- * checked against an independent implementation: same outcomes, same
- * condition reachability, same truncation and the same state count.
+ * unordered_set, and it expands every enabled transition. It exists so
+ * that the production explorer, which also prunes with a persistent-set
+ * reduction, can be checked against an independent, unreduced
+ * implementation: the same outcomes and condition reachability, and no
+ * more visited states.
  *
  * Its stateKey() leaves out the GIC priority mask, priority stack and
- * per-INTID priorities, and the attributes of in-flight ops; a state
- * count equal to the production explorer's shows those omissions never
- * merged two distinct states on the inputs compared.
+ * per-INTID priorities, and the attributes of in-flight ops. Its state
+ * counts equalled those of the unreduced flat explorer on every builtin
+ * under every profile, on 20,000 random hammer seeds and on the cycle
+ * inventory, so those omissions never merged two distinct states there.
  */
 
 #ifndef REX_TESTS_REFERENCE_EXPLORER_HH

@@ -106,7 +106,7 @@ stabilise(std::string body)
         std::size_t end = digits;
         while (end < body.size() && body[end] >= '0' && body[end] <= '9')
             ++end;
-        body.replace(digits, end - digits, "0");
+        body.replace(digits, end - digits, 1, '0');
         pos = digits;
     }
     static const char kHit[] = "\"cache_hit\":true";

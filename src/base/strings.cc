@@ -140,6 +140,19 @@ parseInteger(std::string_view text, std::int64_t &out)
 }
 
 std::string
+concat(std::initializer_list<std::string_view> parts)
+{
+    std::size_t size = 0;
+    for (std::string_view part : parts)
+        size += part.size();
+    std::string out;
+    out.reserve(size);
+    for (std::string_view part : parts)
+        out += part;
+    return out;
+}
+
+std::string
 format(const char *fmt, ...)
 {
     va_list args;

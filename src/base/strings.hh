@@ -8,6 +8,7 @@
 #define REX_BASE_STRINGS_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,13 @@ bool endsWith(std::string_view text, std::string_view suffix);
  * @return true on success, storing the value in @p out.
  */
 bool parseInteger(std::string_view text, std::int64_t &out);
+
+/**
+ * The concatenation of @p parts. Appending keeps GCC 12's -O3 build
+ * free of the -Wrestrict false positive that `"literal" + std::string`
+ * chains raise.
+ */
+std::string concat(std::initializer_list<std::string_view> parts);
 
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)

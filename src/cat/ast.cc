@@ -1,5 +1,7 @@
 #include "cat/ast.hh"
 
+#include "base/strings.hh"
+
 namespace rex::cat {
 
 std::string
@@ -11,13 +13,13 @@ Expr::toString() const
       case Kind::Zero:
         return "0";
       case Kind::Union:
-        return "(" + lhs->toString() + " | " + rhs->toString() + ")";
+        return concat({"(", lhs->toString(), " | ", rhs->toString(), ")"});
       case Kind::Inter:
-        return "(" + lhs->toString() + " & " + rhs->toString() + ")";
+        return concat({"(", lhs->toString(), " & ", rhs->toString(), ")"});
       case Kind::Diff:
-        return "(" + lhs->toString() + " \\ " + rhs->toString() + ")";
+        return concat({"(", lhs->toString(), " \\ ", rhs->toString(), ")"});
       case Kind::Seq:
-        return "(" + lhs->toString() + "; " + rhs->toString() + ")";
+        return concat({"(", lhs->toString(), "; ", rhs->toString(), ")"});
       case Kind::Closure:
         return lhs->toString() + "+";
       case Kind::RtClosure:
@@ -27,12 +29,12 @@ Expr::toString() const
       case Kind::Inverse:
         return lhs->toString() + "^-1";
       case Kind::Complement:
-        return "~" + lhs->toString();
+        return concat({"~", lhs->toString()});
       case Kind::Bracket:
-        return "[" + lhs->toString() + "]";
+        return concat({"[", lhs->toString(), "]"});
       case Kind::If:
-        return "(if ... then " + lhs->toString() + " else " +
-            rhs->toString() + ")";
+        return concat({"(if ... then ", lhs->toString(), " else ",
+                       rhs->toString(), ")"});
       case Kind::App:
         return name + "(" + lhs->toString() + ")";
     }

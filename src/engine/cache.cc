@@ -493,7 +493,7 @@ VerdictCache::writeToDisk(const VerdictKey &key,
     if (!value.forbiddingCycle.empty()) {
         payload += "cycle";
         for (EventId id : value.forbiddingCycle)
-            payload += " " + std::to_string(id);
+            payload += concat({" ", std::to_string(id)});
         payload += "\n";
     }
     payload += format("keylen %zu\n", key.text.size());

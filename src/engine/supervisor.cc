@@ -288,7 +288,7 @@ buildResponsePayload(const WireResponse &response)
     if (!v.forbiddingCycle.empty()) {
         payload += "cycle";
         for (EventId id : v.forbiddingCycle)
-            payload += " " + std::to_string(id);
+            payload += concat({" ", std::to_string(id)});
         payload += "\n";
     }
     if (!response.axis.empty())

@@ -56,23 +56,21 @@ Event::toString(const std::vector<std::string> &loc_names) const
 
     switch (kind) {
       case EventKind::ReadMem: {
-        std::string tag = "R";
+        const char *tag = "R";
         if (flags.acquire)
             tag = "Racq";
         else if (flags.acquirePc)
             tag = "Rq";
-        if (flags.exclusive)
-            tag += "x";
-        return format("%s %s=%llu", tag.c_str(), loc_name(loc).c_str(),
+        return format("%s%s %s=%llu", tag, flags.exclusive ? "x" : "",
+                      loc_name(loc).c_str(),
                       static_cast<unsigned long long>(value));
       }
       case EventKind::WriteMem: {
-        std::string tag = initial ? "Winit" : "W";
+        const char *tag = initial ? "Winit" : "W";
         if (flags.release)
             tag = "Wrel";
-        if (flags.exclusive)
-            tag += "x";
-        return format("%s %s=%llu", tag.c_str(), loc_name(loc).c_str(),
+        return format("%s%s %s=%llu", tag, flags.exclusive ? "x" : "",
+                      loc_name(loc).c_str(),
                       static_cast<unsigned long long>(value));
       }
       case EventKind::Barrier:

@@ -82,17 +82,18 @@ addrString(const Instruction &inst)
 {
     switch (inst.mode) {
       case AddrMode::BaseOnly:
-        return "[" + regName(inst.rn) + "]";
+        return concat({"[", regName(inst.rn), "]"});
       case AddrMode::BaseReg:
-        return "[" + regName(inst.rn) + "," + regName(inst.rm) + "]";
+        return concat({"[", regName(inst.rn), ",", regName(inst.rm), "]"});
       case AddrMode::BaseImm:
-        return "[" + regName(inst.rn) + ",#" + std::to_string(inst.imm) +
-            "]";
+        return concat(
+            {"[", regName(inst.rn), ",#", std::to_string(inst.imm), "]"});
       case AddrMode::PostIndex:
-        return "[" + regName(inst.rn) + "],#" + std::to_string(inst.imm);
+        return concat(
+            {"[", regName(inst.rn), "],#", std::to_string(inst.imm)});
       case AddrMode::PreIndex:
-        return "[" + regName(inst.rn) + ",#" + std::to_string(inst.imm) +
-            "]!";
+        return concat(
+            {"[", regName(inst.rn), ",#", std::to_string(inst.imm), "]!"});
     }
     return "[?]";
 }

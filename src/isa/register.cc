@@ -9,7 +9,7 @@ regName(RegId reg)
 {
     if (reg == kZeroReg)
         return "XZR";
-    return "X" + std::to_string(reg);
+    return concat({"X", std::to_string(reg)});
 }
 
 std::optional<RegId>

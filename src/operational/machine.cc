@@ -123,6 +123,19 @@ branchTargets(const isa::Program &prog)
     return targets;
 }
 
+/** The name of a register's or a location's slot in Outcome::key(). */
+std::string
+registerSlotName(ThreadId tid, isa::RegId reg)
+{
+    return concat({std::to_string(tid), ":", isa::regName(reg)});
+}
+
+std::string
+locationSlotName(const LitmusTest &test, LocationId loc)
+{
+    return concat({"*", test.locations[loc]});
+}
+
 } // namespace
 
 std::string
@@ -138,18 +151,72 @@ Outcome::key() const
     return out;
 }
 
+std::vector<OutcomeSlot>
+outcomeSlots(const LitmusTest &test)
+{
+    std::vector<OutcomeSlot> slots;
+    for (const CondAtom &atom : test.finalCond.atoms) {
+        if (atom.kind != CondAtom::Kind::Register)
+            continue;
+        OutcomeSlot slot;
+        slot.tid = atom.tid;
+        slot.reg = atom.reg;
+        slot.name = registerSlotName(atom.tid, atom.reg);
+        slots.push_back(std::move(slot));
+    }
+    for (LocationId loc = 0; loc < test.locations.size(); ++loc) {
+        OutcomeSlot slot;
+        slot.kind = OutcomeSlot::Kind::Location;
+        slot.loc = loc;
+        slot.name = locationSlotName(test, loc);
+        slots.push_back(std::move(slot));
+    }
+    std::sort(slots.begin(), slots.end(),
+              [](const OutcomeSlot &a, const OutcomeSlot &b) {
+                  return a.name < b.name;
+              });
+    slots.erase(std::unique(slots.begin(), slots.end(),
+                            [](const OutcomeSlot &a, const OutcomeSlot &b) {
+                                return a.name == b.name;
+                            }),
+                slots.end());
+    return slots;
+}
+
+std::vector<std::uint64_t>
+outcomeValues(const std::vector<OutcomeSlot> &slots, std::string_view key)
+{
+    std::vector<std::uint64_t> values;
+    values.reserve(slots.size());
+    std::size_t pos = 0;
+    for (const OutcomeSlot &slot : slots) {
+        const std::size_t end = key.find(';', pos);
+        const std::string_view entry = key.substr(pos, end - pos);
+        const std::size_t name_end = slot.name.size();
+        rexAssert(end != std::string_view::npos &&
+                      entry.size() > name_end + 1 &&
+                      entry.substr(0, name_end) == slot.name &&
+                      entry[name_end] == '=',
+                  "outcome key does not match the test's slots");
+        std::uint64_t value = 0;
+        for (char c : entry.substr(name_end + 1)) {
+            rexAssert(c >= '0' && c <= '9', "outcome key: bad value");
+            value = value * 10 + static_cast<std::uint64_t>(c - '0');
+        }
+        values.push_back(value);
+        pos = end + 1;
+    }
+    rexAssert(pos == key.size(), "outcome key has more slots than its test");
+    return values;
+}
+
 bool
 Outcome::satisfiesCondition(const LitmusTest &test) const
 {
     for (const CondAtom &atom : test.finalCond.atoms) {
-        std::string name;
-        if (atom.kind == CondAtom::Kind::Register) {
-            name = std::to_string(atom.tid) + ":" +
-                isa::regName(atom.reg);
-        } else {
-            name = "*" + test.locations[atom.loc];
-        }
-        auto it = values.find(name);
+        auto it = values.find(atom.kind == CondAtom::Kind::Register
+                                  ? registerSlotName(atom.tid, atom.reg)
+                                  : locationSlotName(test, atom.loc));
         if (it == values.end() || it->second != atom.value)
             return false;
     }
@@ -179,7 +246,7 @@ Machine::Transition::toString() const
 }
 
 Machine::Machine(const LitmusTest &test, const CoreProfile &profile)
-    : _test(test), _profile(profile)
+    : _test(test), _profile(profile), _outcomeSlots(outcomeSlots(test))
 {
     static_assert(std::is_trivially_copyable_v<InFlightOp> &&
                       std::has_unique_object_representations_v<InFlightOp> &&
@@ -1128,15 +1195,14 @@ Outcome
 Machine::outcome() const
 {
     Outcome out;
-    for (const CondAtom &atom : _test.finalCond.atoms) {
-        if (atom.kind != CondAtom::Kind::Register)
-            continue;
-        out.values[std::to_string(atom.tid) + ":" +
-                   isa::regName(atom.reg)] = thread(atom.tid).reg(atom.reg);
-    }
     const std::uint64_t *memory = this->memory();
-    for (LocationId loc = 0; loc < _test.locations.size(); ++loc)
-        out.values["*" + _test.locations[loc]] = memory[loc];
+    for (const OutcomeSlot &slot : _outcomeSlots) {
+        out.values.emplace_hint(
+            out.values.end(), slot.name,
+            slot.kind == OutcomeSlot::Kind::Register
+                ? thread(slot.tid).reg(slot.reg)
+                : memory[slot.loc]);
+    }
     return out;
 }
 

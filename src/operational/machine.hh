@@ -72,6 +72,31 @@ struct Outcome {
     bool satisfiesCondition(const LitmusTest &test) const;
 };
 
+/**
+ * One slot of an Outcome: a register the final condition names, or a
+ * memory location. Both semantics project a final state onto the same
+ * slots (outcomeSlots()), which is what makes the soundness hammer's
+ * comparison of operational and axiomatic outcomes meaningful.
+ */
+struct OutcomeSlot {
+    enum class Kind : std::uint8_t { Register, Location };
+    Kind kind = Kind::Register;
+    ThreadId tid = 0;     //!< Register only
+    isa::RegId reg = 0;   //!< Register only
+    LocationId loc = 0;   //!< Location only
+    std::string name;     //!< "tid:Xn" or "*loc", its name in key()
+};
+
+/** The outcome slots of @p test: each register the final condition
+ *  names, once, plus every location, sorted by name (the order of
+ *  Outcome::key()). */
+std::vector<OutcomeSlot> outcomeSlots(const LitmusTest &test);
+
+/** The values of @p key, an Outcome::key() over @p slots, in slot
+ *  order. */
+std::vector<std::uint64_t> outcomeValues(
+    const std::vector<OutcomeSlot> &slots, std::string_view key);
+
 /** The operational machine for one litmus test run. */
 class Machine
 {
@@ -293,6 +318,7 @@ class Machine
 
     const LitmusTest &_test;
     CoreProfile _profile;
+    std::vector<OutcomeSlot> _outcomeSlots;
     Layout _layout;
     std::vector<std::byte> _state;
 

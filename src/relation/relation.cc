@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "base/logging.hh"
+#include "base/strings.hh"
 
 namespace rex {
 
@@ -477,7 +478,7 @@ Relation::toString() const
     for (auto [a, b] : pairs()) {
         if (!first)
             out += ", ";
-        out += "(" + std::to_string(a) + "," + std::to_string(b) + ")";
+        out += concat({"(", std::to_string(a), ",", std::to_string(b), ")"});
         first = false;
     }
     out += "}";

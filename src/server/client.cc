@@ -33,7 +33,7 @@ checkRequestJson(const std::string &test_text,
         for (std::size_t i = 0; i < variants.size(); ++i) {
             if (i)
                 body += ",";
-            body += "\"" + engine::jsonEscape(variants[i]) + "\"";
+            body += concat({"\"", engine::jsonEscape(variants[i]), "\""});
         }
         body += "]";
     }

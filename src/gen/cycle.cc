@@ -343,8 +343,8 @@ enumerateCycles(const CycleConfig &config)
     return out;
 }
 
-GeneratedTest
-synthesizeCycle(const Cycle &cycle)
+TestSpec
+cycleSpec(const Cycle &cycle)
 {
     const std::vector<EdgeKind> &edges = cycle.edges;
     rexAssert(!edges.empty() && edgeInfo(edges.back()).external,
@@ -505,8 +505,13 @@ synthesizeCycle(const Cycle &cycle)
             unique.push_back(atom);
     }
     spec.condition = std::move(unique);
+    return spec;
+}
 
-    return packageSpec(std::move(spec));
+GeneratedTest
+synthesizeCycle(const Cycle &cycle)
+{
+    return packageSpec(cycleSpec(cycle));
 }
 
 } // namespace rex::gen

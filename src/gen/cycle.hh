@@ -94,7 +94,10 @@ struct CycleConfig {
  */
 std::vector<Cycle> enumerateCycles(const CycleConfig &config);
 
-/** Synthesize the litmus test observing @p cycle (must be valid). */
+/** The spec of the litmus test observing @p cycle (must be valid). */
+TestSpec cycleSpec(const Cycle &cycle);
+
+/** cycleSpec(cycle), packaged with its source. */
 GeneratedTest synthesizeCycle(const Cycle &cycle);
 
 } // namespace rex::gen

@@ -217,8 +217,8 @@ packageSpec(TestSpec spec)
     return out;
 }
 
-GeneratedTest
-generate(std::uint64_t seed, const GenConfig &config)
+TestSpec
+generateSpec(std::uint64_t seed, const GenConfig &config)
 {
     Rng rng(seed);
     TestSpec spec;
@@ -261,7 +261,13 @@ generate(std::uint64_t seed, const GenConfig &config)
         spec.condition.push_back(atom);
     }
 
-    return packageSpec(std::move(spec));
+    return spec;
+}
+
+GeneratedTest
+generate(std::uint64_t seed, const GenConfig &config)
+{
+    return packageSpec(generateSpec(seed, config));
 }
 
 } // namespace rex::gen

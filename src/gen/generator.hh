@@ -54,8 +54,8 @@ struct GenConfig {
 };
 
 /** A synthesized test: the IR, its rendered source, and its feature
- *  flags. `source` is always render(spec) — the minimizer re-derives
- *  both after every shrink. */
+ *  flags. `source` is always render(spec). For callers that want the
+ *  text; the soundness check takes the spec alone. */
 struct GeneratedTest {
     TestSpec spec;
     std::string source;
@@ -65,8 +65,11 @@ struct GeneratedTest {
 /** Package @p spec as a GeneratedTest (render + feature scan). */
 GeneratedTest packageSpec(TestSpec spec);
 
-/** Generate the test of @p seed. Deterministic: same seed and config,
- *  byte-identical source — across runs, platforms, and job counts. */
+/** The spec of @p seed. Deterministic: same seed and config, equal
+ *  spec — across runs, platforms, and job counts. */
+TestSpec generateSpec(std::uint64_t seed, const GenConfig &config);
+
+/** generateSpec(seed, config), packaged with its source. */
 GeneratedTest generate(std::uint64_t seed, const GenConfig &config);
 
 } // namespace rex::gen

@@ -17,7 +17,7 @@
 #include "base/strings.hh"
 #include "engine/batch.hh"
 #include "engine/cache.hh"
-#include "litmus/parser.hh"
+#include "litmus/litmus.hh"
 #include "operational/explorer.hh"
 #include "operational/machine.hh"
 #include "operational/profile.hh"
@@ -97,29 +97,35 @@ Hammer::fingerprint() const
     return fnv.hash;
 }
 
+TestSpec
+Hammer::specForSeed(std::uint64_t seed) const
+{
+    if (_config.mode == Mode::Cycle)
+        return cycleSpec(_inventory[seed % _inventory.size()]);
+    return generateSpec(seed, _config.gen);
+}
+
 GeneratedTest
 Hammer::testForSeed(std::uint64_t seed) const
 {
-    if (_config.mode == Mode::Cycle)
-        return synthesizeCycle(_inventory[seed % _inventory.size()]);
-    return generate(seed, _config.gen);
+    return packageSpec(specForSeed(seed));
 }
 
 SeedResult
 Hammer::checkSeed(std::uint64_t seed) const
 {
-    SeedResult result = soundnessCheck(testForSeed(seed), _config);
+    SeedResult result = soundnessCheck(specForSeed(seed), _config);
     result.seed = seed;
     return result;
 }
 
 SeedResult
-soundnessCheck(const GeneratedTest &generated, const HammerConfig &config)
+soundnessCheck(const TestSpec &spec, const HammerConfig &config)
 {
-    LitmusTest test = parseLitmus(generated.source);
+    const LitmusTest test = lower(spec);
 
     SeedResult result;
-    result.features = generated.features;
+    result.features = specFeatures(spec);
     result.outcome = SeedOutcome::Skipped;
 
     // The governor bounds pathological seeds; a trip means Skipped, not

@@ -6,8 +6,9 @@
  * Soundness here is the repo's north-star invariant: every outcome the
  * operational simulator can reach (op::explore on the most relaxed
  * core profile) must be allowed by the axiomatic model. For each seed
- * the hammer synthesizes a test (gen/generator.hh random mode, or the
- * gen/cycle.hh inventory indexed by seed), skips it when its exact
+ * the hammer synthesizes a spec (gen/generator.hh random mode, or the
+ * gen/cycle.hh inventory indexed by seed), lowers it straight to a
+ * LitmusTest (no litmus text in between), skips it when its exact
  * candidate count exceeds the per-seed budget's ceiling
  * (engine/governor.hh), explores it operationally, and then searches
  * the candidates on the staged path for one consistent witness per
@@ -151,7 +152,10 @@ class Hammer
   public:
     explicit Hammer(HammerConfig config);
 
-    /** The test of @p seed (deterministic). */
+    /** The spec of @p seed (deterministic). */
+    TestSpec specForSeed(std::uint64_t seed) const;
+
+    /** specForSeed(seed), packaged with its source. */
     GeneratedTest testForSeed(std::uint64_t seed) const;
 
     /** Soundness-check one seed. */
@@ -181,12 +185,13 @@ class Hammer
 };
 
 /**
- * Soundness-check one already-synthesized test under @p config's
- * params/budget — the per-seed machinery minus the synthesis. The
- * minimizer's oracle re-enters here after every shrink.
+ * Soundness-check one already-synthesized spec under @p config's
+ * params/budget — the per-seed machinery minus the synthesis. The spec
+ * is lowered straight to its LitmusTest (gen/spec.hh lower()), never
+ * rendered or parsed. The minimizer's oracle re-enters here after
+ * every shrink.
  */
-SeedResult soundnessCheck(const GeneratedTest &test,
-                          const HammerConfig &config);
+SeedResult soundnessCheck(const TestSpec &spec, const HammerConfig &config);
 
 /**
  * The axiomatic half of soundnessCheck(): the keys of @p outcomes

@@ -227,7 +227,7 @@ Oracle
 makeSoundnessOracle(HammerConfig config)
 {
     return [config = std::move(config)](const TestSpec &spec) {
-        return soundnessCheck(packageSpec(spec), config).outcome ==
+        return soundnessCheck(spec, config).outcome ==
                SeedOutcome::Violation;
     };
 }

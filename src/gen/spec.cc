@@ -1,11 +1,12 @@
 /**
  * @file
- * TestSpec rendering and feature accounting.
+ * TestSpec rendering, lowering and feature accounting.
  */
 
 #include "gen/spec.hh"
 
 #include "base/logging.hh"
+#include "litmus/litmus.hh"
 
 namespace rex::gen {
 
@@ -27,6 +28,20 @@ baseReg(int loc)
     return "X1" + std::to_string(loc);
 }
 
+/** The label of thread @p tid's control dependency number @p seq. */
+std::string
+ctrlLabel(int tid, int seq)
+{
+    return "LC" + std::to_string(tid) + std::to_string(seq);
+}
+
+/** The label an interrupt of thread @p tid is pended at. */
+std::string
+interruptLabel(std::size_t tid)
+{
+    return "LI" + std::to_string(tid);
+}
+
 /** Render one op into @p out. @p label_seq numbers control-dep labels
  *  uniquely within the thread. */
 void
@@ -35,8 +50,7 @@ renderOp(std::string &out, const Op &op, int tid, int &label_seq)
     // Control-dependency guard: a conditional branch on the earlier
     // load's destination, immediately resolved.
     if (op.dep == Op::Dep::Ctrl) {
-        std::string label =
-            "LC" + std::to_string(tid) + std::to_string(label_seq++);
+        std::string label = ctrlLabel(tid, label_seq++);
         out += "    CBNZ X" + std::to_string(op.depOn) + "," + label + "\n";
         out += label + ":\n";
     }
@@ -146,7 +160,7 @@ render(const TestSpec &spec)
         if (thread.svc)
             text += "    SVC #0\n";
         if (thread.interrupt)
-            text += "LI" + std::to_string(t) + ":\n";
+            text += interruptLabel(t) + ":\n";
         renderOps(text, thread.after, static_cast<int>(t), label_seq);
         if (text.empty())
             text = "    NOP\n";
@@ -171,8 +185,8 @@ render(const TestSpec &spec)
 
     for (std::size_t t = 0; t < spec.threads.size(); ++t) {
         if (spec.threads[t].interrupt) {
-            out += "interrupt " + std::to_string(t) + " at LI" +
-                   std::to_string(t) + "\n";
+            out += "interrupt " + std::to_string(t) + " at " +
+                   interruptLabel(t) + "\n";
         }
     }
 
@@ -196,6 +210,277 @@ render(const TestSpec &spec)
     }
     out += "\n";
     return out;
+}
+
+// ---------------------------------------------------------------------
+// Lowering: the instructions parseLitmus would assemble from render().
+// ---------------------------------------------------------------------
+
+namespace {
+
+using isa::AluOp;
+using isa::Instruction;
+using isa::Opcode;
+using isa::RegId;
+
+// The fixed registers of the conventions in spec.hh.
+constexpr RegId kDepTemp = 5;
+constexpr RegId kStoreData = 6;
+constexpr RegId kAddrTemp = 7;
+constexpr RegId kStatus = 8;
+constexpr RegId kNoise = 9;
+
+RegId
+baseRegId(int loc)
+{
+    return static_cast<RegId>(10 + loc);
+}
+
+RegId
+slotReg(int slot)
+{
+    return static_cast<RegId>(slot);
+}
+
+Instruction
+plain(Opcode op)
+{
+    Instruction inst;
+    inst.op = op;
+    return inst;
+}
+
+Instruction
+labelDef(std::string label)
+{
+    Instruction inst = plain(Opcode::Label);
+    inst.label = std::move(label);
+    return inst;
+}
+
+/** op rd, [rn] (also LDP/STP, whose second register is @p rs). */
+Instruction
+access(Opcode op, RegId rd, RegId rn, RegId rs = isa::kZeroReg)
+{
+    Instruction inst = plain(op);
+    inst.rd = rd;
+    inst.rn = rn;
+    inst.rs = rs;
+    return inst;
+}
+
+Instruction
+movImm(RegId rd, std::uint64_t value)
+{
+    Instruction inst = plain(Opcode::MovImm);
+    inst.rd = rd;
+    inst.imm = static_cast<std::int64_t>(value);
+    return inst;
+}
+
+Instruction
+aluReg(AluOp alu, RegId rd, RegId rn, RegId rm)
+{
+    Instruction inst = plain(Opcode::Alu);
+    inst.alu = alu;
+    inst.rd = rd;
+    inst.rn = rn;
+    inst.rm = rm;
+    return inst;
+}
+
+Instruction
+addImm(RegId rd, RegId rn, std::uint64_t value)
+{
+    Instruction inst = plain(Opcode::Alu);
+    inst.alu = AluOp::Add;
+    inst.rd = rd;
+    inst.rn = rn;
+    inst.imm = static_cast<std::int64_t>(value);
+    inst.aluImmediate = true;
+    return inst;
+}
+
+/** EOR rd,Xslot,Xslot: the zero that carries a dependency. */
+Instruction
+eorZero(RegId rd, int slot)
+{
+    return aluReg(AluOp::Eor, rd, slotReg(slot), slotReg(slot));
+}
+
+Instruction
+barrier(Opcode op, BarrierKind kind)
+{
+    Instruction inst = plain(op);
+    inst.barrier = kind;
+    return inst;
+}
+
+/** Lower one op into @p out, instruction for instruction as renderOp()
+ *  writes it. */
+void
+lowerOp(isa::Program &out, const Op &op, int tid, int &label_seq)
+{
+    if (op.dep == Op::Dep::Ctrl) {
+        std::string label = ctrlLabel(tid, label_seq++);
+        Instruction branch = plain(Opcode::Cbnz);
+        branch.rd = slotReg(op.depOn);
+        branch.label = label;
+        out.append(branch);
+        out.append(labelDef(std::move(label)));
+    }
+
+    RegId base = baseRegId(op.loc);
+    if (op.dep == Op::Dep::Addr) {
+        out.append(eorZero(kDepTemp, op.depOn));
+        out.append(aluReg(AluOp::Add, kAddrTemp, base, kDepTemp));
+        base = kAddrTemp;
+    }
+
+    switch (op.kind) {
+      case Op::Kind::Load: {
+        Opcode load = op.acquire
+                          ? Opcode::Ldar
+                          : (op.acquirePc ? Opcode::Ldapr : Opcode::Ldr);
+        out.append(access(load, slotReg(op.dst), base));
+        break;
+      }
+      case Op::Kind::Store:
+        if (op.dep == Op::Dep::Data) {
+            out.append(eorZero(kDepTemp, op.depOn));
+            out.append(addImm(kStoreData, kDepTemp, op.value));
+        } else {
+            out.append(movImm(kStoreData, op.value));
+        }
+        out.append(access(op.release ? Opcode::Stlr : Opcode::Str,
+                          kStoreData, base));
+        break;
+      case Op::Kind::LoadPair:
+        out.append(access(Opcode::Ldp, slotReg(op.dst), base,
+                          slotReg(op.dst + 1)));
+        break;
+      case Op::Kind::StorePair:
+        out.append(movImm(kStoreData, op.value));
+        out.append(access(Opcode::Stp, kStoreData, base, kStoreData));
+        break;
+      case Op::Kind::Rmw:
+        out.append(access(Opcode::Ldxr, slotReg(op.dst), base));
+        out.append(eorZero(kStoreData, op.dst));
+        out.append(addImm(kStoreData, kStoreData, op.value));
+        out.append(access(Opcode::Stxr, kStoreData, base, kStatus));
+        break;
+      case Op::Kind::Fence:
+        switch (op.fence) {
+          case Op::Fence::DmbSy:
+            out.append(barrier(Opcode::Dmb, BarrierKind::DmbSy));
+            break;
+          case Op::Fence::DmbLd:
+            out.append(barrier(Opcode::Dmb, BarrierKind::DmbLd));
+            break;
+          case Op::Fence::DmbSt:
+            out.append(barrier(Opcode::Dmb, BarrierKind::DmbSt));
+            break;
+          case Op::Fence::DsbSy:
+            out.append(barrier(Opcode::Dsb, BarrierKind::DsbSy));
+            break;
+          case Op::Fence::Isb:
+            out.append(barrier(Opcode::Isb, BarrierKind::Isb));
+            break;
+        }
+        break;
+      case Op::Kind::MovImm:
+        out.append(movImm(kNoise, op.value));
+        break;
+    }
+}
+
+void
+lowerOps(isa::Program &out, const std::vector<Op> &ops, int tid,
+         int &label_seq)
+{
+    for (const Op &op : ops)
+        lowerOp(out, op, tid, label_seq);
+}
+
+bool
+isEmpty(const isa::Program &program)
+{
+    return program.code.empty() && program.labels.empty();
+}
+
+} // namespace
+
+LitmusTest
+lower(const TestSpec &spec)
+{
+    rexAssert(!spec.threads.empty(), "gen: spec with no threads");
+    rexAssert(spec.numLocations >= 1 && spec.numLocations <= 3,
+              "gen: spec location count out of range");
+
+    LitmusTest test;
+    test.name = spec.name;
+    for (int loc = 0; loc < spec.numLocations; ++loc)
+        test.locations.push_back(locationName(loc));
+    test.initValues.assign(test.locations.size(), 0);
+
+    // No op writes ICC_SGI1R_EL1, so no thread is an SGI receiver.
+    test.threads.resize(spec.threads.size());
+    for (std::size_t t = 0; t < spec.threads.size(); ++t) {
+        const ThreadSpec &thread = spec.threads[t];
+        rexAssert(!(thread.svc && thread.interrupt),
+                  "gen: thread with both SVC and interrupt");
+        LitmusThread &out = test.threads[t];
+        for (int loc = 0; loc < spec.numLocations; ++loc) {
+            out.initRegs[baseRegId(loc)] =
+                locationAddress(static_cast<LocationId>(loc));
+        }
+
+        const int tid = static_cast<int>(t);
+        int label_seq = 0;
+        lowerOps(out.program, thread.body, tid, label_seq);
+        if (thread.svc)
+            out.program.append(plain(Opcode::Svc));
+        if (thread.interrupt) {
+            out.interruptAt = interruptLabel(t);
+            out.program.append(labelDef(*out.interruptAt));
+        }
+        lowerOps(out.program, thread.after, tid, label_seq);
+        if (isEmpty(out.program))
+            out.program.append(plain(Opcode::Nop));
+
+        label_seq = 100;  // disjoint from the body's label numbers
+        lowerOps(out.handler, thread.handler, tid, label_seq);
+        if (thread.eret)
+            out.handler.append(plain(Opcode::Eret));
+        if (isEmpty(out.handler) && (thread.svc || thread.interrupt))
+            out.handler.append(plain(Opcode::Nop));
+
+        out.program.checkBranches();
+        out.handler.checkBranches();
+    }
+
+    test.expectedAllowed = true;
+    std::vector<CondAtom> &atoms = test.finalCond.atoms;
+    if (spec.condition.empty()) {
+        CondAtom atom;
+        atom.kind = CondAtom::Kind::Memory;
+        atoms.push_back(atom);
+    }
+    for (const SpecCond &cond : spec.condition) {
+        CondAtom atom;
+        atom.value = cond.value;
+        if (cond.memory) {
+            rexAssert(cond.loc >= 0 && cond.loc < spec.numLocations,
+                      "gen: condition on an undeclared location");
+            atom.kind = CondAtom::Kind::Memory;
+            atom.loc = static_cast<LocationId>(cond.loc);
+        } else {
+            atom.tid = static_cast<ThreadId>(cond.tid);
+            atom.reg = slotReg(cond.slot);
+        }
+        atoms.push_back(atom);
+    }
+    return test;
 }
 
 void

@@ -6,10 +6,18 @@
  * test: per-thread op lists (body, handler, post-return tail) plus the
  * paper-specific exception structure (SVC entry, ERET return, a pended
  * asynchronous interrupt at a label). The IR — not the rendered text —
- * is what the generator emits and the counterexample minimizer shrinks;
- * render() is the single serialisation point, producing source the
- * litmus parser round-trips, so the engine, rexd, and the operational
- * simulator all consume the same test the registry would.
+ * is what the generator emits and the counterexample minimizer shrinks.
+ *
+ * A spec leaves the IR in one of two ways:
+ *  - render() writes litmus source (parser.hh format), for everything
+ *    that wants text: printing a test, promoting it into the registry,
+ *    shipping it to rexd or a worker process;
+ *  - lower() builds the LitmusTest directly, with no text in between.
+ *    The soundness hammer and the minimizer's oracle check lowered
+ *    tests, so neither renders nor parses per check.
+ * The two agree: lower(spec) equals parseLitmus(render(spec)) in every
+ * field but sourceText, which tests/test_gen.cc checks on the hammer's
+ * random and cycle corpora and on minimizer edge shapes.
  *
  * Register conventions (mirrors the hand-written suites and the old
  * tests/test_fuzz.cc corpus):
@@ -27,6 +35,10 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+namespace rex {
+struct LitmusTest;
+} // namespace rex
 
 namespace rex::gen {
 
@@ -158,6 +170,10 @@ Features specFeatures(const TestSpec &spec);
 /** Render @p spec as litmus source text (parser.hh format). The
  *  rendering is deterministic: equal specs produce identical bytes. */
 std::string render(const TestSpec &spec);
+
+/** The test @p spec describes, as parseLitmus(render(spec)) would
+ *  build it, minus the sourceText. */
+LitmusTest lower(const TestSpec &spec);
 
 } // namespace rex::gen
 

@@ -362,21 +362,24 @@ Program::toString() const
     return out;
 }
 
-namespace {
-
-/**
- * Expand LDP/STP into their two single-copy-atomic element accesses
- * (s3.4/s6: the elements are separate accesses, each of which may fault
- * independently). Element cells are one location apart (the memory
- * model's cell granularity; see litmus/litmus.hh).
- */
-std::vector<Instruction>
-expandPair(const Instruction &inst)
+void
+Program::append(const Instruction &inst)
 {
+    if (inst.op == Opcode::Label) {
+        if (!labels.emplace(inst.label, code.size()).second)
+            fatal("duplicate label '" + inst.label + "'");
+        return;
+    }
+    if (inst.op != Opcode::Ldp && inst.op != Opcode::Stp) {
+        code.push_back(inst);
+        return;
+    }
     if (inst.op == Opcode::Ldp &&
             (inst.rd == inst.rn || inst.rs == inst.rn)) {
         fatal("LDP destination overlaps the base register");
     }
+    // Element cells are one location apart (the memory model's cell
+    // granularity; see litmus/litmus.hh).
     Instruction first;
     first.op = inst.op == Opcode::Ldp ? Opcode::Ldr : Opcode::Str;
     first.rd = inst.rd;
@@ -390,33 +393,27 @@ expandPair(const Instruction &inst)
     second.imm = inst.imm + 0x1000;
     second.mode = AddrMode::BaseImm;
     second.pairSecond = true;
-    return {first, second};
+    code.push_back(first);
+    code.push_back(second);
 }
 
-} // namespace
+void
+Program::checkBranches() const
+{
+    for (const Instruction &inst : code) {
+        if (inst.isBranch())
+            labelIndex(inst.label);
+    }
+}
 
 Program
 assemble(const std::string &text)
 {
     Program program;
-    for (const std::string &stmt : splitStatements(text)) {
-        Instruction inst = assembleStatement(stmt);
-        if (inst.op == Opcode::Label) {
-            if (program.labels.count(inst.label))
-                fatal("duplicate label '" + inst.label + "'");
-            program.labels[inst.label] = program.code.size();
-        } else if (inst.op == Opcode::Ldp || inst.op == Opcode::Stp) {
-            for (Instruction &element : expandPair(inst))
-                program.code.push_back(element);
-        } else {
-            program.code.push_back(inst);
-        }
-    }
+    for (const std::string &stmt : splitStatements(text))
+        program.append(assembleStatement(stmt));
     // Validate branch targets eagerly so errors point at assembly time.
-    for (const Instruction &inst : program.code) {
-        if (inst.isBranch())
-            program.labelIndex(inst.label);
-    }
+    program.checkBranches();
     return program;
 }
 

@@ -8,7 +8,8 @@
  * missing from that set. It exists so that the production check, which
  * decides the ceiling from the candidate count, explores first and only
  * looks for witnesses of the explored outcomes, can be compared with an
- * independent exhaustive implementation.
+ * independent exhaustive implementation. It parses the test's rendered
+ * source, so it also checks the production path's lowering.
  */
 
 #ifndef REX_TESTS_REFERENCE_SOUNDNESS_HH

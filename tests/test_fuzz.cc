@@ -76,7 +76,7 @@ soundnessJob(std::uint64_t seed, std::size_t &skipped)
 {
     gen::HammerConfig config;
     gen::SeedResult result =
-        gen::soundnessCheck(gen::generate(seed, config.gen), config);
+        gen::soundnessCheck(gen::generateSpec(seed, config.gen), config);
     if (result.outcome == gen::SeedOutcome::Skipped) {
         ++skipped;
         return "";

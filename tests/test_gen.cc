@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the rexgen subsystem (src/gen): synthesizer determinism,
- * parser round-trips of generated sources, the cycle inventory, the
+ * parser round-trips of generated sources, lowering parity (lower(spec)
+ * against parseLitmus(render(spec))), the cycle inventory, the
  * minimizer's pass structure (via an injected fake oracle), hammer
  * checkpoint/resume identity, and feature coverage of the paper's
  * exception machinery over a small campaign.
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/strings.hh"
 #include "engine/batch.hh"
 #include "gen/cycle.hh"
 #include "gen/generator.hh"
@@ -67,6 +69,212 @@ TEST(Generator, FeaturesReflectSpec)
     EXPECT_EQ(f.svc, 0u);
     EXPECT_EQ(f.eret, 0u);
     EXPECT_EQ(f.threads3, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Lowering parity: lower(spec) is parseLitmus(render(spec)).
+// ---------------------------------------------------------------------
+
+void
+describeProgram(std::string &out, const char *what,
+                const isa::Program &program)
+{
+    out += format("%s: %zu instructions\n", what, program.code.size());
+    for (const isa::Instruction &inst : program.code) {
+        out += format("  op %d rd %d rn %d rm %d rs %d imm %lld shift %d "
+                      "mode %d alu %d aluImm %d cond %d pairSecond %d "
+                      "barrier %d sysreg %d label '%s'\n",
+                      static_cast<int>(inst.op), inst.rd, inst.rn, inst.rm,
+                      inst.rs, static_cast<long long>(inst.imm), inst.shift,
+                      static_cast<int>(inst.mode),
+                      static_cast<int>(inst.alu), inst.aluImmediate,
+                      static_cast<int>(inst.cond), inst.pairSecond,
+                      static_cast<int>(inst.barrier),
+                      static_cast<int>(inst.sysreg), inst.label.c_str());
+    }
+    for (const auto &[label, index] : program.labels)
+        out += format("  label '%s' at %zu\n", label.c_str(), index);
+}
+
+/** Every field of @p test but sourceText, one line each: two tests are
+ *  equal in those fields exactly when their descriptions are, and a
+ *  mismatch shows the differing line. */
+std::string
+describeTest(const LitmusTest &test)
+{
+    std::string out = "name '" + test.name + "' desc '" +
+                      test.description + "'\n";
+    for (std::size_t t = 0; t < test.threads.size(); ++t) {
+        const LitmusThread &thread = test.threads[t];
+        out += format("thread %zu: el %d masked %d eoi1 %d interrupt %s "
+                      "intid %u sgi %d\n",
+                      t, thread.initialEl, thread.initialMasked,
+                      thread.eoiMode1,
+                      thread.interruptAt ? thread.interruptAt->c_str()
+                                         : "-",
+                      thread.interruptIntid, thread.sgiReceiver);
+        out += "  regs";
+        for (std::uint64_t value : thread.initRegs)
+            out += format(" %llu", static_cast<unsigned long long>(value));
+        out += "\n";
+        describeProgram(out, "  program", thread.program);
+        describeProgram(out, "  handler", thread.handler);
+    }
+    for (std::size_t loc = 0; loc < test.locations.size(); ++loc) {
+        out += format("location %zu '%s' init %llu\n", loc,
+                      test.locations[loc].c_str(),
+                      static_cast<unsigned long long>(
+                          test.initValues[loc]));
+    }
+    out += format("%zu init values\n", test.initValues.size());
+    for (const CondAtom &atom : test.finalCond.atoms) {
+        out += format("atom kind %d tid %d reg %d loc %u value %llu\n",
+                      static_cast<int>(atom.kind), atom.tid, atom.reg,
+                      atom.loc, static_cast<unsigned long long>(atom.value));
+    }
+    out += format("allowed %d\n", test.expectedAllowed);
+    for (const auto &[variant, allowed] : test.variantAllowed)
+        out += format("variant %s %d\n", variant.c_str(), allowed);
+    return out;
+}
+
+::testing::AssertionResult
+lowersLikeParse(const TestSpec &spec)
+{
+    const std::string lowered = describeTest(lower(spec));
+    const std::string parsed = describeTest(parseLitmus(render(spec)));
+    if (lowered == parsed)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "lowered:\n" << lowered << "parsed:\n" << parsed;
+}
+
+TEST(LowerParity, RandomSeeds)
+{
+    for (std::uint64_t seed = 0; seed < 20000; ++seed)
+        ASSERT_TRUE(lowersLikeParse(generateSpec(seed, GenConfig{})))
+            << "seed " << seed;
+}
+
+TEST(LowerParity, EveryToggleThreeThreads)
+{
+    GenConfig config;
+    config.threeThreadPercent = 100;
+    config.svc = config.interrupts = config.eret = config.rmw =
+        config.pairs = config.acqRel = config.deps = true;
+    for (std::uint64_t seed = 0; seed < 5000; ++seed) {
+        const TestSpec spec = generateSpec(seed, config);
+        ASSERT_EQ(spec.threads.size(), 3u);
+        ASSERT_TRUE(lowersLikeParse(spec)) << "seed " << seed;
+    }
+}
+
+TEST(LowerParity, CycleInventory)
+{
+    const std::vector<Cycle> inventory = enumerateCycles(CycleConfig{});
+    ASSERT_GT(inventory.size(), 200u);
+    for (const Cycle &cycle : inventory)
+        ASSERT_TRUE(lowersLikeParse(cycleSpec(cycle))) << cycleName(cycle);
+}
+
+Op
+specOp(Op::Kind kind, int loc, int dst = 0)
+{
+    Op op;
+    op.kind = kind;
+    op.loc = loc;
+    op.dst = dst;
+    return op;
+}
+
+Op
+ctrlDep(Op op, int on)
+{
+    op.dep = Op::Dep::Ctrl;
+    op.depOn = on;
+    return op;
+}
+
+TEST(LowerParity, MinimizerEdgeShapes)
+{
+    // Shapes the shrink passes leave behind, which no generator emits.
+    TestSpec spec;
+    spec.name = "edges";
+    spec.numLocations = 3;
+
+    // Thread 0: SVC whose handler ops were all dropped -> NOP handler.
+    ThreadSpec svc;
+    svc.body.push_back(specOp(Op::Kind::Load, 0, 0));
+    svc.svc = true;
+    spec.threads.push_back(svc);
+
+    // Thread 1: a pended interrupt with no handler ops -> NOP handler.
+    ThreadSpec irq;
+    irq.body.push_back(specOp(Op::Kind::Store, 1));
+    irq.interrupt = true;
+    spec.threads.push_back(irq);
+
+    // Thread 2: every op dropped -> NOP.
+    spec.threads.push_back(ThreadSpec{});
+
+    // Thread 3: ctrl deps in body, after and handler, and LDP/STP on
+    // the last-but-one location (the second element is the last cell).
+    ThreadSpec deps;
+    deps.body.push_back(specOp(Op::Kind::LoadPair, 1, 0));
+    deps.body.push_back(ctrlDep(specOp(Op::Kind::Store, 0), 0));
+    deps.body.push_back(ctrlDep(specOp(Op::Kind::Load, 2, 2), 1));
+    deps.svc = true;
+    deps.eret = true;
+    deps.handler.push_back(ctrlDep(specOp(Op::Kind::StorePair, 1), 2));
+    deps.after.push_back(ctrlDep(specOp(Op::Kind::Load, 0, 3), 2));
+    spec.threads.push_back(deps);
+
+    // Empty condition -> *x=0.
+    ASSERT_TRUE(lowersLikeParse(spec));
+    const LitmusTest test = lower(spec);
+    ASSERT_EQ(test.finalCond.atoms.size(), 1u);
+    EXPECT_EQ(test.finalCond.atoms[0].kind, CondAtom::Kind::Memory);
+    EXPECT_EQ(test.finalCond.atoms[0].loc, 0u);
+    EXPECT_EQ(test.finalCond.atoms[0].value, 0u);
+    ASSERT_EQ(test.threads[0].handler.code.size(), 1u);
+    EXPECT_EQ(test.threads[0].handler.code[0].op, isa::Opcode::Nop);
+    ASSERT_EQ(test.threads[1].handler.code.size(), 1u);
+    EXPECT_EQ(test.threads[1].handler.code[0].op, isa::Opcode::Nop);
+    EXPECT_EQ(test.threads[1].interruptAt, "LI1");
+    ASSERT_EQ(test.threads[2].program.code.size(), 1u);
+    EXPECT_EQ(test.threads[2].program.code[0].op, isa::Opcode::Nop);
+    EXPECT_TRUE(test.threads[2].handler.code.empty());
+    const LitmusThread &t3 = test.threads[3];
+    EXPECT_EQ(t3.program.labelIndex("LC30"), 3u);
+    EXPECT_EQ(t3.program.labelIndex("LC31"), 6u);
+    EXPECT_EQ(t3.program.labelIndex("LC32"), 9u);
+    EXPECT_EQ(t3.handler.labelIndex("LC3100"), 1u);
+    EXPECT_TRUE(t3.program.code[1].pairSecond);
+    EXPECT_EQ(t3.program.code[1].imm, 0x1000);
+    EXPECT_TRUE(t3.handler.code[3].pairSecond);
+
+    // Dropping the ERET tail, then the SVC boundary itself.
+    spec.threads[3].eret = false;
+    spec.threads[3].after.clear();
+    EXPECT_TRUE(lowersLikeParse(spec));
+    spec.threads[3].svc = false;
+    spec.threads[3].handler.clear();
+    EXPECT_TRUE(lowersLikeParse(spec));
+
+    // Register and memory atoms after the last location was compacted
+    // away.
+    spec.numLocations = 2;
+    SpecCond reg;
+    reg.tid = 3;
+    reg.slot = 2;
+    reg.value = 1;
+    SpecCond mem;
+    mem.memory = true;
+    mem.loc = 1;
+    mem.value = 2;
+    spec.condition = {reg, mem};
+    ASSERT_TRUE(lowersLikeParse(spec));
+    EXPECT_EQ(lower(spec).locations.size(), 2u);
 }
 
 // ---------------------------------------------------------------------

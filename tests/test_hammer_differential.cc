@@ -1,9 +1,10 @@
 /**
  * @file
  * Differential tests of the soundness check: the production
- * gen::soundnessCheck (ceiling from the candidate count, explore first,
- * then an outcome-directed witness search) against the test-only
- * exhaustive reference (reference_soundness.hh). On the first 2,000
+ * gen::soundnessCheck (the spec lowered without litmus text, ceiling
+ * from the candidate count, explore first, then an outcome-directed
+ * witness search) against the test-only exhaustive reference
+ * (reference_soundness.hh), which parses the rendered source. On the first 2,000
  * random-mode seeds and on the whole cycle inventory, under the default
  * budget and under a candidate ceiling small enough to skip some seeds,
  * both must return the same outcome, violating keys and features. The
@@ -39,7 +40,7 @@ void
 expectSameResult(const GeneratedTest &test, const HammerConfig &config,
                  const std::string &what, Tally &tally)
 {
-    const SeedResult fast = soundnessCheck(test, config);
+    const SeedResult fast = soundnessCheck(test.spec, config);
     const SeedResult ref = reference::soundnessCheck(test, config);
     EXPECT_EQ(fast.outcome, ref.outcome) << what;
     EXPECT_EQ(fast.violating, ref.violating) << what;
@@ -116,10 +117,11 @@ TEST(HammerDifferential, CeilingIsInclusive)
     Tally tally;
     config.budget.maxCandidates = candidates;
     expectSameResult(test, config, "ceiling == count", tally);
-    EXPECT_EQ(soundnessCheck(test, config).outcome, SeedOutcome::Sound);
+    EXPECT_EQ(soundnessCheck(test.spec, config).outcome, SeedOutcome::Sound);
     config.budget.maxCandidates = candidates - 1;
     expectSameResult(test, config, "ceiling == count - 1", tally);
-    EXPECT_EQ(soundnessCheck(test, config).outcome, SeedOutcome::Skipped);
+    EXPECT_EQ(soundnessCheck(test.spec, config).outcome,
+              SeedOutcome::Skipped);
 }
 
 TEST(HammerDifferential, ForbiddenOutcomeStaysUnwitnessed)

@@ -231,6 +231,28 @@ TEST(Assembler, UndefinedBranchTargetFails)
     EXPECT_THROW(assemble("L:\nL:\nNOP"), FatalError);  // duplicate label
 }
 
+TEST(Assembler, ProgramAppendKeepsTheAssemblerRules)
+{
+    // Programs built instruction by instruction (the synthesizer's
+    // lowering) go through the same rules as assembled text.
+    Program prog;
+    prog.append(assembleStatement("LDP X4,X5,[X1]"));
+    prog.append(assembleStatement("L:"));
+    prog.append(assembleStatement("CBNZ X4,L"));
+    ASSERT_EQ(prog.code.size(), 3u);
+    EXPECT_EQ(prog.code[0].op, Opcode::Ldr);
+    EXPECT_TRUE(prog.code[1].pairSecond);
+    EXPECT_EQ(prog.code[1].imm, 0x1000);
+    EXPECT_EQ(prog.labelIndex("L"), 2u);
+    prog.checkBranches();
+
+    EXPECT_THROW(prog.append(assembleStatement("L:")), FatalError);
+    EXPECT_THROW(prog.append(assembleStatement("LDP X1,X2,[X1]")),
+                 FatalError);
+    prog.append(assembleStatement("B NOWHERE"));
+    EXPECT_THROW(prog.checkBranches(), FatalError);
+}
+
 TEST(Assembler, RejectsUnknownMnemonic)
 {
     EXPECT_THROW(assembleStatement("FROB X1,X2"), FatalError);
